@@ -67,6 +67,10 @@ class DegreeSketch:
         else:
             self.freq -= counts
 
+    def update_cells(self, indices: NDArray[Any], counts: NDArray[Any]) -> None:
+        """Add signed multiplicities at distinct domain indices."""
+        self.freq[indices] += counts
+
     def load_counts(self, counts: NDArray[Any]) -> None:
         """Replace the vector with an externally computed frequency vector.
 
@@ -154,10 +158,9 @@ class DegreeObserver(StreamObserver):
         self.sketch.update(index, op.weight)
 
     def on_ops(self, relation: Any, rows: NDArray[Any], kind: OpKind) -> None:
-        if len(rows) == 0:
-            return
-        indices = self.domain.indices_of(rows[:, self.axis])
-        self.sketch.update_batch(indices, kind.value)
+        delta = relation.delta_of(rows, kind)
+        cells, counts = delta.project([self.axis], [self.domain])
+        self.sketch.update_cells(cells[:, 0], counts)
 
     def state_dict(self) -> Dict[str, Any]:
         return self.sketch.state_dict()

@@ -28,7 +28,6 @@ from typing import Any, Literal
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.fft import dct
 
 GridKind = Literal["midpoint", "endpoint"]
 
@@ -123,8 +122,11 @@ def coefficients_via_scipy_dct(counts: NDArray[Any]) -> NDArray[Any]:
     scipy's type-II DCT returns ``y_k = 2 * sum_j counts[j] cos(pi k (2j+1) / (2n))``,
     so ``a_k = sqrt(2) * y_k / (2 N)`` for ``k >= 1`` and ``a_0 = 1``.  This is
     an O(n log n) batch builder and a cross-check of
-    :func:`coefficients_from_counts`.
+    :func:`coefficients_from_counts`.  scipy is imported here, on first
+    call, so importing the package does not pay for it.
     """
+    from scipy.fft import dct
+
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 1:
         raise ValueError("counts must be a 1-d frequency vector")

@@ -108,6 +108,13 @@ class Domain:
             )
         return idx
 
+    def values_at(self, idx: NDArray[Any]) -> NDArray[Any] | list[Hashable]:
+        """Raw values of domain indices ``0..size-1`` (inverse of :meth:`indices_of`)."""
+        if self._categories is not None:
+            return [self._categories[i] for i in idx]
+        assert self.low is not None
+        return idx + self.low
+
     def index_of(self, value: Hashable) -> int:
         """Map a single raw value to its domain index."""
         return int(self.indices_of([value])[0])

@@ -255,6 +255,8 @@ class CosineSynopsis:
         total = counts.sum()
         if total < 0:
             raise ValueError("counts must be non-negative in aggregate")
+        if not counts.any():
+            return syn  # an empty stream: skip the (order x n) basis tables
         tensor = counts
         # Contract each value axis with the (order x n_j) basis matrix; after
         # d steps the tensor holds the unnormalized coefficient grid.

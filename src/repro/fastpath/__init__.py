@@ -2,11 +2,13 @@
 
 ``repro.fastpath`` is the blessed home for hot-loop arithmetic: the
 Chebyshev-recurrence cosine basis (one transcendental call per batch
-instead of one per table entry), the optional numba-compiled kernels, and
-the backend switch that picks between them at import time.  The synopsis,
-sketch, and stream layers call :func:`phi_block` / :func:`agms_update_1d`
-and stay free of per-order python loops themselves — the ``repro.analysis``
-REP006 rule enforces that split.
+instead of one per table entry), the optional numba-compiled basis
+kernel, and the backend switch that picks between them at import time.
+The synopsis and stream layers call :func:`phi_block` and stay free of
+per-order python loops themselves — the ``repro.analysis`` REP006 rule
+enforces that split.  AGMS sketches need no kernel here: they gather
+columns of each sign family's cached int8 table
+(:meth:`repro.sketches.hashing.SignFamily.signs_at`).
 
 See ``docs/PERFORMANCE.md`` for the recurrence math, backend selection
 rules, and how the CI benchmark gate holds this layer to its >= 5x floor.
@@ -14,7 +16,6 @@ rules, and how the CI benchmark gate holds this layer to its >= 5x floor.
 
 from .backend import (
     BACKENDS,
-    agms_update_1d,
     available_backends,
     backend_name,
     describe,
@@ -28,7 +29,6 @@ __all__ = [
     "BACKENDS",
     "RECURRENCE_MIN_COLS",
     "SQRT2",
-    "agms_update_1d",
     "available_backends",
     "backend_name",
     "describe",

@@ -1,17 +1,16 @@
-"""Optional numba-compiled kernels behind a gated import.
+"""Optional numba-compiled basis kernel behind a gated import.
 
 numba is *not* a dependency of this package: when it is importable the
-kernels below are JIT-compiled and :mod:`repro.fastpath.backend` selects
+kernel below is JIT-compiled and :mod:`repro.fastpath.backend` selects
 the ``"numba"`` backend by default; when it is absent (the normal case —
 the CI image deliberately ships without it) everything here degrades to
 ``None`` and the pure-numpy recurrence takes over at import time.  Which
 way the coin fell is visible through the ``repro_fastpath_backend`` gauge
 and ``repro.fastpath.describe()``.
 
-The kernels mirror the numpy fast path exactly (same recurrence, same
-seed folding), so the parity guarantees proven for the numpy path in
-``tests/fastpath/`` transfer; they mainly buy back the python-level loop
-over basis orders and the ``(S, B)`` sign intermediates of AGMS updates.
+The kernel mirrors the numpy fast path exactly (same recurrence), so the
+parity guarantees proven for the numpy path in ``tests/fastpath/``
+transfer; it mainly buys back the python-level loop over basis orders.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ from typing import Any
 
 import math
 
-import numpy as np
 from numpy.typing import NDArray
 
-__all__ = ["HAVE_NUMBA", "phi_block_kernel", "agms_update_kernel"]
+__all__ = ["HAVE_NUMBA", "phi_block_kernel"]
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba  # type: ignore[import-not-found]
@@ -33,7 +31,6 @@ except Exception:  # pragma: no cover - import error path is environment-depende
 HAVE_NUMBA = numba is not None
 
 _SQRT2 = math.sqrt(2.0)
-_MERSENNE_P = np.uint64((1 << 31) - 1)
 
 
 if HAVE_NUMBA:  # pragma: no cover - numba absent in the pinned CI image
@@ -58,33 +55,5 @@ if HAVE_NUMBA:  # pragma: no cover - numba absent in the pinned CI image
                     prev2 = prev1
                     prev1 = cur
 
-    @numba.njit(cache=True)
-    def agms_update_kernel(
-        coeffs: NDArray[Any], indices: NDArray[Any], weight: float, atoms: NDArray[Any]
-    ) -> None:
-        """Single-attribute AGMS batch update without sign intermediates.
-
-        ``coeffs`` is the sign family's ``(S, 4)`` uint64 polynomial table,
-        ``indices`` the batch of domain indices; each atom accumulates
-        ``weight * sum_b xi_s(indices[b])`` directly, skipping the
-        ``(S, B)`` materialized sign matrix of the numpy path.
-        """
-        p = _MERSENNE_P
-        one = np.uint64(1)
-        for s in range(coeffs.shape[0]):
-            c0 = coeffs[s, 0]
-            c1 = coeffs[s, 1]
-            c2 = coeffs[s, 2]
-            c3 = coeffs[s, 3]
-            total = 0
-            for b in range(indices.shape[0]):
-                x = np.uint64(indices[b])
-                acc = (c0 * x + c1) % p
-                acc = (acc * x + c2) % p
-                acc = (acc * x + c3) % p
-                total += 1 if (acc & one) else -1
-            atoms[s] += weight * total
-
 else:
     phi_block_kernel = None
-    agms_update_kernel = None

@@ -29,7 +29,6 @@ crashed.
 from .client import FleetClient
 from .executor import SocketExecutor
 from .protocol import recv_frame, send_frame
-from .serve import FleetServer
 from .supervisor import ShardSupervisor, WorkerGone
 
 __all__ = [
@@ -41,3 +40,12 @@ __all__ = [
     "recv_frame",
     "send_frame",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """Import :class:`FleetServer` on first use: asyncio loads ssl."""
+    if name == "FleetServer":
+        from .serve import FleetServer
+
+        return FleetServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

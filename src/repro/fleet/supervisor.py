@@ -10,6 +10,10 @@ and keeps the fleet answer-correct across worker crashes:
 * a successful ``save_checkpoint`` marks the journal (and truncates the
   replayed prefix), so the journal holds exactly the post-checkpoint
   suffix;
+* once a shard's unmarked ingest rows pass :data:`JOURNAL_COMPACT_BYTES`,
+  the supervisor checkpoints that shard itself, into a scratch directory
+  it owns and removes in :meth:`ShardSupervisor.stop`, so a fleet nobody
+  checkpoints (the ``serve`` daemon) still holds a bounded journal;
 * when a worker is gone — connection reset, clean EOF, or a call
   timeout, all treated identically — the supervisor respawns the
   process, restores the latest checkpoint (if one was ever marked) and
@@ -41,8 +45,11 @@ Everything is observable: ``repro_fleet_restarts_total{shard}``,
 from __future__ import annotations
 
 import multiprocessing as mp
+import shutil
 import socket
+import tempfile
 import threading
+from pathlib import Path
 from typing import Any, Sequence
 
 from ..obs.metrics import MetricsRegistry
@@ -67,6 +74,10 @@ JOURNALED_METHODS = frozenset(
 
 #: Seconds to wait for a freshly spawned worker's port handshake.
 _SPAWN_TIMEOUT = 30.0
+
+#: Bytes of ingested rows a shard's journal may hold past its last mark
+#: before the supervisor checkpoints the shard and truncates the journal.
+JOURNAL_COMPACT_BYTES = 8 << 20
 
 
 class WorkerGone(ConnectionError):
@@ -216,6 +227,8 @@ class ShardSupervisor:
         self._restart_counts: list[int] = []
         self._miss_counts: list[int] = []
         self._down: dict[int, str] = {}
+        self._pending_bytes: list[int] = []
+        self._scratch: str | None = None
         self._stop_event = threading.Event()
         self._heartbeat_thread: threading.Thread | None = None
         self._restarts_metric = self.registry.counter(
@@ -250,6 +263,8 @@ class ShardSupervisor:
         self._locks = [threading.Lock() for _ in range(num_shards)]
         self._restart_counts = [0] * num_shards
         self._miss_counts = [0] * num_shards
+        self._pending_bytes = [0] * num_shards
+        self._scratch = tempfile.mkdtemp(prefix="repro-fleet-journal-")
         self._down = {}
         for shard in range(num_shards):
             proc = _ShardProcess(shard, seed, telemetry, ctx, self.call_timeout)
@@ -274,6 +289,9 @@ class ShardSupervisor:
                 proc.stop()
                 self._up_metric.labels(str(shard)).set(0.0)
         self._procs = []
+        if self._scratch is not None:
+            shutil.rmtree(self._scratch, ignore_errors=True)
+            self._scratch = None
 
     # ------------------------------------------------------------------ #
     # command dispatch
@@ -312,16 +330,41 @@ class ShardSupervisor:
                 # The checkpoint now covers everything journaled so far:
                 # mark it (remembering the store directory for revives)
                 # and drop the prefix replay no longer needs.
-                journal = self._journals[shard]
-                journal.mark(str(args[0]))
-                journal.truncate()
+                self._mark_locked(shard, str(args[0]))
             elif method == "load_latest_checkpoint":
                 # The worker's state *is* the checkpoint now; any journal
                 # history predates it and must not be replayed on top.
-                journal = self._journals[shard]
-                journal.clear()
-                journal.mark(str(args[0]))
+                self._journals[shard].clear()
+                self._mark_locked(shard, str(args[0]))
+            elif method == "ingest":
+                self._pending_bytes[shard] += sum(getattr(a, "nbytes", 0) for a in args)
+                if self._pending_bytes[shard] > JOURNAL_COMPACT_BYTES:
+                    self._compact_locked(shard)
             return result
+
+    def _mark_locked(self, shard: int, ref: str) -> None:
+        journal = self._journals[shard]
+        journal.mark(ref)
+        journal.truncate()
+        self._pending_bytes[shard] = 0
+
+    def _compact_locked(self, shard: int) -> None:
+        """Checkpoint a shard into the supervisor's scratch dir (lock held).
+
+        Reuses the ``save_checkpoint`` mark/truncate path.  A failed save
+        leaves the journal as it was: it still replays everything since
+        the previous mark, so compaction never costs correctness.
+        """
+        assert self._scratch is not None
+        directory = str(Path(self._scratch) / f"shard-{shard}")
+        try:
+            self._procs[shard].request("save_checkpoint", (directory,), {"keep": 1})
+        except WorkerGone as exc:
+            self._revive_locked(shard, str(exc))
+            return
+        except ShardError:
+            return
+        self._mark_locked(shard, directory)
 
     def _check_up(self, shard: int) -> None:
         reason = self._down.get(shard)

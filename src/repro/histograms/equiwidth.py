@@ -72,9 +72,13 @@ class EquiWidthHistogram:
     def update_batch(self, values: Sequence[Any] | NDArray[Any], weight: int = 1) -> None:
         """Insert or delete a batch of raw values."""
         indices = self.domain.indices_of(values)
+        self.update_cells(indices, np.full(indices.shape[0], weight))
+
+    def update_cells(self, indices: NDArray[Any], counts: NDArray[Any]) -> None:
+        """Add signed integer multiplicities at domain indices (repeats allowed)."""
         buckets = np.searchsorted(self.boundaries, indices, side="right") - 1
-        np.add.at(self.counts, buckets, float(weight))
-        self._count += weight * len(indices)
+        np.add.at(self.counts, buckets, counts.astype(float))
+        self._count += int(counts.sum())
 
     def state_dict(self) -> dict[str, Any]:
         """Mutable state only (bucket counts + count), for checkpoints."""

@@ -35,7 +35,6 @@ from .metrics import (
     MetricsRegistry,
     catalog_mismatches,
 )
-from .server import MetricsServer
 from .telemetry import Telemetry
 from .tracing import DEFAULT_TRACE_CAPACITY, SpanEvent, TraceContext, Tracer
 
@@ -60,3 +59,12 @@ __all__ = [
     "Tracer",
     "DEFAULT_TRACE_CAPACITY",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """Import :class:`MetricsServer` on first use: ``http.server`` loads ssl."""
+    if name == "MetricsServer":
+        from .server import MetricsServer
+
+        return MetricsServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,8 +33,6 @@ import os
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
@@ -205,6 +203,8 @@ class OtlpHttpExporter(_AccountedExporter):
         self.headers = dict(headers or {})
 
     def _send(self, signal: str, data: bytes) -> None:
+        import urllib.request  # deferred: it loads http.client and ssl
+
         request = urllib.request.Request(
             f"{self.endpoint}/v1/{signal}",
             data=data,

@@ -56,15 +56,30 @@ class BernoulliSample:
         exactly, not just in distribution.
         """
         values = list(values)
-        if not values:
-            return np.zeros(0, dtype=bool)
-        mask = self._rng.random(len(values)) < self.probability
-        self.stream_size += len(values)
-        for value, keep in zip(values, mask):
-            if keep:
-                self.counts[value] += 1
-        self.sampled_size += int(mask.sum())
+        mask = self._flip(len(values))
+        self._keep([value for value, keep in zip(values, mask) if keep])
         return mask
+
+    def insert_rows(self, rows: NDArray[Any]) -> NDArray[Any]:
+        """Offer a ``(B, k)`` integer array of tuples; returns the acceptance mask.
+
+        The same coins as :meth:`insert_batch`, with the same tuple-of-int
+        keys, but only the kept rows are turned into Python tuples.
+        """
+        mask = self._flip(rows.shape[0])
+        self._keep(list(map(tuple, rows[mask].tolist())))
+        return mask
+
+    def _flip(self, size: int) -> NDArray[Any]:
+        """One coin per offered tuple, from the generator's shared stream."""
+        self.stream_size += size
+        if not size:
+            return np.zeros(0, dtype=bool)
+        return self._rng.random(size) < self.probability
+
+    def _keep(self, values: list[Hashable]) -> None:
+        self.counts.update(values)
+        self.sampled_size += len(values)
 
     def state_dict(self) -> dict[str, Any]:
         """Full mutable state, including the generator's bit state.

@@ -25,8 +25,8 @@ from typing import Any, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from ..core.cells import distinct_cells
 from ..core.normalization import Domain
-from ..fastpath import agms_update_1d
 from .hashing import SignFamily
 
 
@@ -115,15 +115,6 @@ class AGMSSketch:
     # maintenance
     # ------------------------------------------------------------------ #
 
-    def _batch_signs(self, rows: NDArray[Any]) -> NDArray[Any]:
-        """Product of per-attribute signs for a batch: ``(S, B)`` ±1 ints."""
-        prod: NDArray[Any] | None = None
-        for j, fam in enumerate(self.families):
-            s = fam.signs(rows[:, j])
-            prod = s.astype(np.int64) if prod is None else prod * s
-        assert prod is not None
-        return prod
-
     def update(self, indices: Sequence[int] | int, weight: int = 1) -> None:
         """Process one arrival (``weight=1``) or deletion (``weight=-1``).
 
@@ -136,35 +127,47 @@ class AGMSSketch:
         rows = np.asarray(indices, dtype=np.int64)[None, :]
         if rows.shape[1] != self.ndim:
             raise ValueError(f"expected {self.ndim} attribute indices, got {rows.shape[1]}")
-        self.atoms += weight * self._batch_signs(rows)[:, 0]
-        self._count += weight
+        self.update_cells(rows, np.array([weight], dtype=np.int64))
 
     def update_batch(self, rows: NDArray[Any], weight: int = 1, chunk: int = 4096) -> None:
         """Process a batch of arrivals/deletions of domain-index tuples.
 
-        Single-attribute batches route through the compiled
-        :func:`repro.fastpath.agms_update_1d` kernel when the numba
-        backend is active (skipping the ``(S, B)`` sign intermediates);
-        otherwise the chunked numpy path below runs.  Both accumulate the
-        same sums, so the choice is invisible to estimates.
+        The batch is reduced to its distinct cells first, so the cost
+        follows the number of distinct tuples, not the batch length (see
+        :meth:`update_cells` for ``chunk``).
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim == 1:
             rows = rows[:, None]
         if rows.shape[1] != self.ndim:
             raise ValueError(f"rows must have {self.ndim} columns, got {rows.shape[1]}")
-        if self.ndim == 1 and rows.shape[0]:
-            fam = self.families[0]
-            idx = rows[:, 0]
-            if int(idx.min()) < 0 or int(idx.max()) >= fam.domain_size:
-                raise ValueError("index outside the hashed domain")
-            if agms_update_1d(fam.coefficients, idx, float(weight), self.atoms):
-                self._count += weight * rows.shape[0]  # pragma: no cover - requires numba
-                return  # pragma: no cover - requires numba
-        for start in range(0, rows.shape[0], chunk):
-            part = rows[start : start + chunk]
-            self.atoms += weight * self._batch_signs(part).sum(axis=1)
-        self._count += weight * rows.shape[0]
+        shape = tuple(fam.domain_size for fam in self.families)
+        if rows.shape[0] and (rows.min() < 0 or (rows.max(axis=0) >= shape).any()):
+            raise ValueError("index outside the hashed domain")
+        cells, counts = distinct_cells(rows, shape)
+        self.update_cells(cells, weight * counts, chunk)
+
+    def update_cells(self, cells: NDArray[Any], counts: NDArray[Any], chunk: int = 4096) -> None:
+        """Add ``counts[u]`` tuples at each cell ``cells[u]`` (negative deletes).
+
+        ``cells`` is ``(U, ndim)`` domain indices and ``counts`` their signed
+        integer multiplicities.  Each atom moves by the signed sum of its
+        sign products: ``atoms += signs(cells) @ counts``, with the signs
+        gathered from each family's cached table, ``chunk`` cells at a
+        time.  A ±1 sign times an integer count sums exactly in float64,
+        so this equals hashing and adding every tuple alone, bit for bit.
+        """
+        cells = np.asarray(cells, dtype=np.int64)
+        counts = np.asarray(counts)
+        if cells.ndim != 2 or cells.shape != (counts.shape[0], self.ndim):
+            raise ValueError(f"cells must have shape ({counts.shape[0]}, {self.ndim})")
+        for start in range(0, cells.shape[0], chunk):
+            part = cells[start : start + chunk]
+            signs = self.families[0].signs_at(part[:, 0])
+            for j in range(1, self.ndim):
+                signs = signs * self.families[j].signs_at(part[:, j])
+            self.atoms += signs.astype(float) @ counts[start : start + chunk].astype(float)
+        self._count += int(counts.sum())
 
     def state_dict(self) -> dict[str, Any]:
         """Mutable state only (atoms + count), for engine checkpoints."""
@@ -199,13 +202,15 @@ class AGMSSketch:
         expected = tuple(f.domain_size for f in sketch.families)
         if counts.shape != expected:
             raise ValueError(f"counts shape {counts.shape} does not match domains {expected}")
+        if not counts.any():
+            return sketch  # an empty stream: leave the sign tables unbuilt
         # Contract the value axes against the attributes' (S, n_j) sign
         # matrices one by one, keeping S as a shared leading axis.  Each
         # contraction consumes the current axis 1, which is always the next
         # attribute in declaration order.
         tensor = counts[None, ...]  # (1, n_1, ..., n_d) broadcast over S
         for fam in sketch.families:
-            signs = fam.sign_matrix().astype(float)  # (S, n_j)
+            signs = fam.sign_table().astype(float)  # (S, n_j)
             if tensor.shape[0] == 1:
                 tensor = np.einsum("j...,sj->s...", tensor[0], signs)
             else:

@@ -24,6 +24,7 @@ from typing import Any, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from ..core.cells import distinct_cells
 from .basic import AGMSSketch, median_of_means, split_budget
 from .hashing import SignFamily
 
@@ -129,14 +130,20 @@ class PartitionedSketch:
         self.sketches[p].update(int(index - self.boundaries[p]), weight=weight)
 
     def update_batch(self, indices: NDArray[Any], weight: int = 1) -> None:
+        """Route a batch of arrivals/deletions of domain indices."""
         indices = np.asarray(indices, dtype=np.int64)
-        partitions = np.searchsorted(self.boundaries, indices, side="right") - 1
-        for p in range(self.num_partitions):
+        if indices.size and (indices.min() < 0 or indices.max() >= self.domain_size):
+            raise ValueError(f"indices outside domain [0, {self.domain_size})")
+        cells, counts = distinct_cells(indices[:, None], (self.domain_size,))
+        self.update_cells(cells[:, 0], weight * counts)
+
+    def update_cells(self, cells: NDArray[Any], counts: NDArray[Any]) -> None:
+        """Route distinct domain indices with signed multiplicities to their partitions."""
+        partitions = np.searchsorted(self.boundaries, cells, side="right") - 1
+        for p, sketch in enumerate(self.sketches):
             mask = partitions == p
             if mask.any():
-                self.sketches[p].update_batch(
-                    indices[mask] - self.boundaries[p], weight=weight
-                )
+                sketch.update_cells((cells[mask] - self.boundaries[p])[:, None], counts[mask])
 
     def state_dict(self) -> dict[str, Any]:
         """Full mutable state, including the partition structure.

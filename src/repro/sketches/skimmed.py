@@ -64,13 +64,30 @@ def estimate_frequencies(sketch: AGMSSketch, sign_matrix: NDArray[Any]) -> NDArr
 
     ``E[X_i * xi_i(v)] = f(v)``; the median of group means over the sketch
     grid makes the estimate robust.  ``sign_matrix`` is the family's dense
-    ``(S, n)`` ±1 matrix (pass it in so repeated calls share the work).
+    ``(S, n)`` ±1 matrix, int8 or float — usually its cached
+    :meth:`~repro.sketches.hashing.SignFamily.sign_table`.  Each group's
+    sum is one vector-matrix product, so no ``(S, n)`` float matrix is
+    materialized; with integer atoms those sums are exact, so the result
+    equals averaging the per-atom products bit for bit.
     """
     if sketch.ndim != 1:
         raise ValueError("frequency skimming is defined for single-attribute sketches")
-    per_atom = sketch.atoms[:, None] * sign_matrix  # (S, n)
-    groups = per_atom.reshape(sketch.num_medians, sketch.num_means, -1)
-    return np.median(groups.mean(axis=1), axis=0)
+    s1, s2 = sketch.num_means, sketch.num_medians
+    atoms = sketch.atoms.reshape(s2, s1)
+    signs = sign_matrix.reshape(s2, s1, -1)
+    group_sums = np.stack([atoms[g] @ signs[g] for g in range(s2)])
+    return np.median(group_sums / s1, axis=0)
+
+
+def _project_dense(sign_matrix: NDArray[Any], dense: NDArray[Any]) -> NDArray[Any]:
+    """``sign_matrix @ dense`` over the nonzero entries of ``dense`` only.
+
+    Skimmed vectors hold a few rounded heavy hitters, so this touches a
+    handful of sign columns instead of all ``n``; with integer entries the
+    sums are exact and equal the full product bit for bit.
+    """
+    nonzero = np.flatnonzero(dense)
+    return sign_matrix[:, nonzero] @ dense[nonzero]
 
 
 def skim_threshold(sketch: AGMSSketch, factor: float = 2.0) -> float:
@@ -102,7 +119,7 @@ def skim_dense_frequencies(
         threshold = skim_threshold(sketch, threshold_factor)
     f_hat = estimate_frequencies(sketch, sign_matrix)
     dense = np.where(f_hat >= threshold, np.maximum(np.rint(f_hat), 0.0), 0.0)
-    residual_atoms = sketch.atoms - sign_matrix.astype(float) @ dense
+    residual_atoms = sketch.atoms - _project_dense(sign_matrix, dense)
     return dense, residual_atoms
 
 
@@ -121,8 +138,6 @@ def estimate_join_size_skimmed(
         raise ValueError("the skimmed sketch handles single-attribute joins")
     if not a.compatible_with(b, 0, 0):
         raise ValueError("sketches do not share a sign family; joins are undefined")
-    signs = a.families[0].sign_matrix().astype(float)
-
     if a.num_means < MIN_MEANS_FOR_SKIMMING:
         # Too little averaging to trust per-value frequency estimates: the
         # skim would extract noise.  Degrade gracefully to the basic AGMS
@@ -138,6 +153,7 @@ def estimate_join_size_skimmed(
             dense_values_b=0,
         )
 
+    signs = a.families[0].sign_table()
     dense_a, residual_a = skim_dense_frequencies(a, signs, threshold_factor=threshold_factor)
     dense_b, residual_b = skim_dense_frequencies(b, signs, threshold_factor=threshold_factor)
 
@@ -148,8 +164,8 @@ def estimate_join_size_skimmed(
 
     # Dense x residual: project the dense vector through the sign families
     # to pair it with the residual sketch (an unbiased inner product).
-    proj_a = signs @ dense_a  # (S,) sketch of the dense-a vector
-    proj_b = signs @ dense_b
+    proj_a = _project_dense(signs, dense_a)  # (S,) sketch of the dense-a vector
+    proj_b = _project_dense(signs, dense_b)
     j_ds = median_of_means(proj_a * residual_b, s1, s2)
     j_sd = median_of_means(residual_a * proj_b, s1, s2)
 
@@ -204,11 +220,11 @@ def estimate_multijoin_size_skimmed(
 
     end_parts = []
     for end in (first, last):
-        signs = end.families[0].sign_matrix().astype(float)
+        signs = end.families[0].sign_table()
         dense, residual = skim_dense_frequencies(
             end, signs, threshold_factor=threshold_factor
         )
-        end_parts.append((signs @ dense, residual))
+        end_parts.append((_project_dense(signs, dense), residual))
 
     s1, s2 = first.num_means, first.num_medians
     total = 0.0

@@ -1270,11 +1270,8 @@ class _SketchObserver(StreamObserver):
         self.sketch.update(indices, weight=op.weight)
 
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
-        indices = np.stack(
-            [d.indices_of(rows[:, ax]) for d, ax in zip(self.domains, self.axes)],
-            axis=1,
-        )
-        self.sketch.update_batch(indices, weight=kind.value)
+        delta = relation.delta_of(rows, kind)
+        self.sketch.update_cells(*delta.project(self.axes, self.domains))
 
 
 class _SampleObserver(StreamObserver):
@@ -1319,12 +1316,12 @@ class _SampleObserver(StreamObserver):
         if kind is OpKind.DELETE:
             self.sample.delete(tuple(rows[0]))  # raises: documented limitation
             return
-        idx = relation.indices_of_rows(rows)[:, self.axes]
-        keys = [tuple(int(v) for v in row) for row in idx]
-        mask = self.sample.insert_batch(keys)
-        for key, kept in zip(keys, mask):
-            if kept:
-                self.counter[key if len(key) > 1 else key[0]] += 1
+        keys = relation.delta_of(rows, kind).indices[:, self.axes]
+        kept = keys[self.sample.insert_rows(keys)]
+        if kept.shape[1] == 1:
+            self.counter.update(kept[:, 0].tolist())
+        else:
+            self.counter.update(map(tuple, kept.tolist()))
 
 
 class _PartitionedObserver(StreamObserver):
@@ -1349,8 +1346,9 @@ class _PartitionedObserver(StreamObserver):
         self.sketch.update(index, weight=op.weight)
 
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
-        indices = self.domain.indices_of(rows[:, self.axis])
-        self.sketch.update_batch(indices, weight=kind.value)
+        delta = relation.delta_of(rows, kind)
+        cells, counts = delta.project([self.axis], [self.domain])
+        self.sketch.update_cells(cells[:, 0], counts)
 
 
 class _WaveletObserver(StreamObserver):
@@ -1373,7 +1371,9 @@ class _WaveletObserver(StreamObserver):
         self.synopsis.update(op.values[self.axis], weight=op.weight)
 
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
-        self.synopsis.update_batch(rows[:, self.axis], weight=kind.value)
+        delta = relation.delta_of(rows, kind)
+        cells, counts = delta.project([self.axis], [self.synopsis.domain])
+        self.synopsis.update_cells(cells[:, 0], counts)
 
 
 class _HistogramObserver(StreamObserver):
@@ -1396,7 +1396,9 @@ class _HistogramObserver(StreamObserver):
         self.histogram.update(op.values[self.axis], weight=op.weight)
 
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
-        self.histogram.update_batch(rows[:, self.axis], weight=kind.value)
+        delta = relation.delta_of(rows, kind)
+        cells, counts = delta.project([self.axis], [self.histogram.domain])
+        self.histogram.update_cells(cells[:, 0], counts)
 
 
 # ---------------------------------------------------------------------- #

@@ -12,11 +12,13 @@ relation whose tuples arrive (and possibly depart) one at a time.  It keeps
 
 Beyond the paper's per-tuple model, relations also accept *batches*:
 :meth:`StreamRelation.insert_rows` / :meth:`StreamRelation.delete_rows`
-update the exact tensor with one vectorized scatter-add and notify each
-observer once per batch.  Observers that implement ``on_ops(relation, rows,
-kind)`` get the whole batch (and can use their synopsis' vectorized
-kernels); anything exposing only ``on_op`` is fed tuple-by-tuple, so the
-two protocols coexist on one relation.
+reduce the batch once to its distinct cells and signed multiplicities (a
+:class:`CellDelta`), update the exact tensor from that delta and notify
+each observer once per batch.  Observers that implement ``on_ops(relation,
+rows, kind)`` get the whole batch and can read its delta with
+:meth:`StreamRelation.delta_of` (a linear synopsis is a projection of
+it); anything exposing only ``on_op`` is fed tuple-by-tuple, so the two
+protocols coexist on one relation.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Any, Iterable, Sequence, TYPE_CHECKING
 import numpy as np
 from numpy.typing import NDArray
 
+from ..core.cells import distinct_cells
 from ..core.normalization import Domain
 from .tuples import OpKind, StreamOp
 
@@ -36,6 +39,62 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: Refuse to materialize exact count tensors above this many cells.
 MAX_EXACT_CELLS = 200_000_000
+
+
+class CellDelta:
+    """One same-kind batch, reduced to its distinct cells.
+
+    ``rows`` is the raw ``(B, ndim)`` batch and ``indices`` its per-row
+    domain indices; ``cells`` holds the batch's distinct index tuples in
+    lexicographic order and ``counts`` their multiplicities, negative for a
+    deletion batch.  :meth:`project` re-expresses the delta over a subset
+    of attributes in another index space (a join's unified domains), so
+    each observer pays for its view of the batch once per distinct cell.
+    """
+
+    __slots__ = ("rows", "indices", "kind", "cells", "counts", "_domains", "_marginals")
+
+    def __init__(
+        self,
+        rows: NDArray[Any],
+        indices: NDArray[Any],
+        kind: OpKind,
+        domains: Sequence[Domain],
+    ) -> None:
+        self.rows = rows
+        self.indices = indices
+        self.kind = kind
+        cells, counts = distinct_cells(indices, [d.size for d in domains])
+        self.cells = cells
+        self.counts = counts if kind is OpKind.INSERT else -counts
+        self._domains = tuple(domains)
+        self._marginals: dict[tuple[int, ...], tuple[NDArray[Any], NDArray[Any]]] = {}
+
+    def project(
+        self, axes: Sequence[int], domains: Sequence[Domain]
+    ) -> tuple[NDArray[Any], NDArray[Any]]:
+        """Distinct ``(cells, counts)`` over ``axes``, indexed in ``domains``.
+
+        ``domains[i]`` is the index space of attribute ``axes[i]``; it must
+        contain that attribute's values (a unified join domain does).
+        """
+        key = tuple(axes)
+        marginal = self._marginals.get(key)
+        if marginal is None:
+            if key == tuple(range(len(self._domains))):
+                marginal = (self.cells, self.counts)
+            else:
+                shape = [self._domains[ax].size for ax in key]
+                marginal = distinct_cells(self.cells[:, key], shape, self.counts)
+            self._marginals[key] = marginal
+        cells, counts = marginal
+        if all(d == self._domains[ax] for d, ax in zip(domains, key)):
+            return cells, counts
+        columns = [
+            target.indices_of(self._domains[ax].values_at(cells[:, i]))
+            for i, (ax, target) in enumerate(zip(key, domains))
+        ]
+        return np.stack(columns, axis=1), counts
 
 
 class StreamObserver:
@@ -55,8 +114,10 @@ class StreamObserver:
     def on_ops(self, relation: "StreamRelation", rows: NDArray[Any], kind: OpKind) -> None:
         """Called once per same-kind batch, after exact state is updated.
 
-        ``rows`` is a ``(B, ndim)`` array of raw tuples.  The default
-        falls back to one :meth:`on_op` call per row.
+        ``rows`` is a ``(B, ndim)`` array of raw tuples;
+        ``relation.delta_of(rows, kind)`` is its distinct-cell delta,
+        already computed.  The default falls back to one :meth:`on_op`
+        call per row.
         """
         for row in rows:
             self.on_op(relation, StreamOp(tuple(row), kind))
@@ -108,6 +169,8 @@ class StreamRelation:
         #: remaining observers; returning False re-raises.  ``None`` (the
         #: default) preserves raise-through semantics exactly.
         self.fault_handler = None
+        #: The delta of the batch being applied, while observers run.
+        self._delta: CellDelta | None = None
 
     @property
     def ndim(self) -> int:
@@ -178,6 +241,20 @@ class StreamRelation:
             return arr
         columns = [d.indices_of(arr[:, j]) for j, d in enumerate(self.domains)]
         return np.stack(columns, axis=1)
+
+    def delta_of(
+        self, rows: Sequence[Sequence[Any]] | NDArray[Any], kind: OpKind
+    ) -> CellDelta:
+        """The distinct-cell delta of a batch of raw tuples.
+
+        Inside an observer's ``on_ops`` this is the delta the relation
+        already computed for the batch; any other batch gets a fresh one.
+        """
+        delta = self._delta
+        if delta is not None and delta.rows is rows and delta.kind is kind:
+            return delta
+        arr = self.rows_array(rows)
+        return CellDelta(arr, self.indices_of_rows(arr), kind, self.domains)
 
     # ------------------------------------------------------------------ #
     # per-tuple path
@@ -308,63 +385,63 @@ class StreamRelation:
                 self._apply_rows_inner(arr, kind)
 
     def _apply_rows_inner(self, arr: NDArray[Any], kind: OpKind) -> None:
-        idx = self.indices_of_rows(arr)
-        cells = tuple(idx[:, j] for j in range(self.ndim))
+        delta = CellDelta(arr, self.indices_of_rows(arr), kind, self.domains)
+        cells = tuple(delta.cells.T)
         if kind is OpKind.DELETE:
             # A sequential replay would raise on the first tuple exceeding
             # its live multiplicity; check up front so a rejected batch
             # leaves the exact state untouched.
-            unique, multiplicity = np.unique(idx, axis=0, return_counts=True)
-            held = self.counts[tuple(unique[:, j] for j in range(self.ndim))]
-            short = multiplicity > held
+            short = self.counts[cells] < -delta.counts
             if short.any():
-                bad_idx = unique[np.argmax(short)]
-                where = np.argmax(np.all(idx == bad_idx, axis=1))
+                bad_idx = delta.cells[np.argmax(short)]
+                where = np.argmax(np.all(delta.indices == bad_idx, axis=1))
                 bad = tuple(v.item() for v in arr[where])
                 raise ValueError(
                     f"deleting tuple {bad} that {self.name} does not hold"
                 )
-            np.subtract.at(self.counts, cells, 1)
-            self._count -= idx.shape[0]
-        else:
-            np.add.at(self.counts, cells, 1)
-            self._count += idx.shape[0]
+        self.counts[cells] += delta.counts
+        batch = arr.shape[0]
+        self._count += batch if kind is OpKind.INSERT else -batch
         stats = self.stats
         tracer = self.tracer
         if stats is not None:
-            stats.record_ops(idx.shape[0], kind, batched=True, relation=self.name)
+            stats.record_ops(batch, kind, batched=True, relation=self.name)
         # One sampling decision covers the whole batch: a sampled-out batch
         # with no stats attached skips every per-observer clock read.
         traced = tracer is not None and tracer.take()
         timed = stats is not None or traced
         fault_handler = self.fault_handler
         observers = self._observers if fault_handler is None else list(self._observers)
-        for observer in observers:
-            start = perf_counter() if timed else 0.0
-            handler = getattr(observer, "on_ops", None)
-            try:
-                if handler is not None:
-                    handler(self, arr, kind)
-                else:
-                    for row in arr:
-                        observer.on_op(self, StreamOp(tuple(row), kind))
-            except Exception as exc:
-                if fault_handler is None or not fault_handler(self, observer, exc):
-                    raise
-            if timed:
-                seconds = perf_counter() - start
-                key = _stats_key(observer)
-                if stats is not None:
-                    stats.record_observer(key, seconds, arr.shape[0])
-                if traced:
-                    tracer.record(
-                        "observer_update",
-                        seconds,
-                        count=arr.shape[0],
-                        start=start,
-                        relation=self.name,
-                        method=key,
-                    )
+        self._delta = delta
+        try:
+            for observer in observers:
+                start = perf_counter() if timed else 0.0
+                handler = getattr(observer, "on_ops", None)
+                try:
+                    if handler is not None:
+                        handler(self, arr, kind)
+                    else:
+                        for row in arr:
+                            observer.on_op(self, StreamOp(tuple(row), kind))
+                except Exception as exc:
+                    if fault_handler is None or not fault_handler(self, observer, exc):
+                        raise
+                if timed:
+                    seconds = perf_counter() - start
+                    key = _stats_key(observer)
+                    if stats is not None:
+                        stats.record_observer(key, seconds, batch)
+                    if traced:
+                        tracer.record(
+                            "observer_update",
+                            seconds,
+                            count=batch,
+                            start=start,
+                            relation=self.name,
+                            method=key,
+                        )
+        finally:
+            self._delta = None
 
     # ------------------------------------------------------------------ #
 

@@ -26,6 +26,7 @@ from typing import Any, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from ..core.cells import distinct_cells
 from ..core.normalization import Domain
 
 
@@ -178,14 +179,18 @@ class HaarSynopsis:
         work is O(distinct values x log n) instead of O(values x log n).
         """
         indices = self.domain.indices_of(values)
+        cells, counts = distinct_cells(indices[:, None], (self.domain.size,))
+        self.update_cells(cells[:, 0], weight * counts)
+
+    def update_cells(self, indices: NDArray[Any], counts: NDArray[Any]) -> None:
+        """Add signed integer multiplicities at distinct domain indices."""
         if indices.size == 0:
             return
-        unique, multiplicity = np.unique(indices, return_counts=True)
-        mass = weight * multiplicity.astype(float)
+        mass = counts.astype(float)
         size = self._size
         self._coefficients[0] += mass.sum() / np.sqrt(size)
         length = size
-        position = unique.copy()
+        position = np.array(indices, dtype=np.int64)
         while length > 1:
             half = length // 2
             sign = np.where(position % 2 == 0, 1.0, -1.0)
@@ -196,7 +201,7 @@ class HaarSynopsis:
             )
             position //= 2
             length = half
-        self._count += weight * int(indices.shape[0])
+        self._count += int(counts.sum())
 
     def top_coefficients(self) -> tuple[NDArray[Any], NDArray[Any]]:
         """(indices, values) of the ``budget`` largest-|.| coefficients."""

@@ -18,7 +18,8 @@ pieces, bottom-up:
 * :mod:`repro.fleet.serve` / :mod:`repro.fleet.client` — the
   ``repro-experiments serve`` asyncio front-end (newline-JSON protocol,
   bounded per-client backpressure, graceful-degradation query policies)
-  and its small synchronous client.
+  and its small synchronous client; :mod:`repro.fleet.rows` is the
+  packed int64 form both use for ingest rows.
 
 The supervision contract the chaos suite enforces: SIGKILL any shard at
 any batch boundary and, after the supervised restart + journal replay,

@@ -3,7 +3,8 @@
 One connection, strict request/response alternation — deliberately the
 simplest correct consumer of :class:`~repro.fleet.serve.FleetServer`
 (tests, the CLI's smoke paths, and scripts).  Pipelined / async
-consumers can speak the wire protocol directly; it is just JSON lines.
+consumers can speak the wire protocol directly; it is just JSON lines,
+with integer ingest rows packed as in :mod:`repro.fleet.rows`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ from __future__ import annotations
 import json
 import socket
 from typing import Any
+
+import numpy as np
+
+from .rows import pack_rows
 
 __all__ = ["FleetClient"]
 
@@ -66,10 +71,14 @@ class FleetClient:
     def register(self, name: str, spec: dict[str, Any]) -> dict[str, Any]:
         return self.check("register", name=name, spec=spec)
 
-    def ingest(
-        self, relation: str, rows: list[Any], kind: str = "insert"
-    ) -> dict[str, Any]:
-        return self.check("ingest", relation=relation, rows=rows, kind=kind)
+    def ingest(self, relation: str, rows: Any, kind: str = "insert") -> dict[str, Any]:
+        """Send one batch: packed when the rows are 2-d int64, else as lists."""
+        packed = pack_rows(rows)
+        if packed is None and isinstance(rows, np.ndarray):
+            rows = rows.tolist()
+        return self.check(
+            "ingest", relation=relation, rows=rows if packed is None else packed, kind=kind
+        )
 
     def query(
         self,

@@ -47,11 +47,14 @@ from ..resilience.errors import DegradedQueryError
 from ..sharding.engine import ShardedStreamEngine
 from ..sharding.executor import ShardError
 from ..streams.tuples import OpKind
+from .rows import unpack_rows
 
 __all__ = ["FleetServer"]
 
-#: Default per-client line / write-buffer bound (bytes).
-DEFAULT_LIMIT = 256 * 1024
+#: Default per-client line / write-buffer bound (bytes).  Packed int64
+#: rows cost ~10.7 bytes of base64 per value, so this holds as many rows
+#: as 256 KiB of short JSON lists.
+DEFAULT_LIMIT = 512 * 1024
 
 _POLICIES = ("raise", "partial")
 
@@ -261,6 +264,8 @@ class FleetServer:
                 else OpKind.INSERT
             )
             rows = request["rows"]
+            if isinstance(rows, dict):
+                rows = unpack_rows(rows)
             before = 0 if fleet.dead_letters is None else fleet.dead_letters.total
             fleet.ingest_batch(str(request["relation"]), rows, kind)
             after = 0 if fleet.dead_letters is None else fleet.dead_letters.total

@@ -1,9 +1,9 @@
 """Versioned, integrity-checked engine checkpoints.
 
-File format (version 1): one ASCII JSON header line, a newline, then the
+File format (version 2): one ASCII JSON header line, a newline, then the
 pickled payload bytes::
 
-    {"magic": "repro-checkpoint", "version": 1,
+    {"magic": "repro-checkpoint", "version": 2,
      "sha256": "<hex digest of the payload bytes>", "payload_bytes": N}
     <N bytes of pickle>
 
@@ -60,7 +60,9 @@ __all__ = [
 ]
 
 FORMAT_MAGIC = "repro-checkpoint"
-FORMAT_VERSION = 1
+#: Version 2 (1.12.0): the ``sample`` observer's state is a kept-count
+#: tensor over the query's unified join domains instead of a value counter.
+FORMAT_VERSION = 2
 
 #: Rotated checkpoint files: ``checkpoint-00000042.ckpt``.
 _STORE_PATTERN = re.compile(r"^checkpoint-(\d{8})\.ckpt$")

@@ -11,10 +11,31 @@ top of them.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Any, Hashable, Iterable, NoReturn, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
+
+
+def check_probability(probability: float) -> float:
+    """A Bernoulli sampling rate, refused unless it lies in (0, 1]."""
+    if not 0.0 < probability <= 1.0:
+        raise ValueError(f"sampling probability must be in (0, 1], got {probability}")
+    return probability
+
+
+def refuse_delete() -> NoReturn:
+    """Deletion is not supported by Bernoulli samples.
+
+    Whether the deleted tuple is *in* the sample depends on a coin flip
+    made at its arrival that the sample did not record; section 2 of the
+    paper notes exactly this kind of difficulty for sampling under
+    dynamic streams.
+    """
+    raise NotImplementedError(
+        "Bernoulli samples cannot process deletions; this limitation is "
+        "part of why the paper moves away from sampling for streams"
+    )
 
 
 class BernoulliSample:
@@ -27,9 +48,7 @@ class BernoulliSample:
     """
 
     def __init__(self, probability: float, seed: int | None = None) -> None:
-        if not 0.0 < probability <= 1.0:
-            raise ValueError(f"sampling probability must be in (0, 1], got {probability}")
-        self.probability = probability
+        self.probability = check_probability(probability)
         self._rng = np.random.default_rng(seed)
         self.counts: Counter[Any] = Counter()
         self.sampled_size = 0
@@ -56,30 +75,14 @@ class BernoulliSample:
         exactly, not just in distribution.
         """
         values = list(values)
-        mask = self._flip(len(values))
-        self._keep([value for value, keep in zip(values, mask) if keep])
-        return mask
-
-    def insert_rows(self, rows: NDArray[Any]) -> NDArray[Any]:
-        """Offer a ``(B, k)`` integer array of tuples; returns the acceptance mask.
-
-        The same coins as :meth:`insert_batch`, with the same tuple-of-int
-        keys, but only the kept rows are turned into Python tuples.
-        """
-        mask = self._flip(rows.shape[0])
-        self._keep(list(map(tuple, rows[mask].tolist())))
-        return mask
-
-    def _flip(self, size: int) -> NDArray[Any]:
-        """One coin per offered tuple, from the generator's shared stream."""
-        self.stream_size += size
-        if not size:
+        self.stream_size += len(values)
+        if not values:
             return np.zeros(0, dtype=bool)
-        return self._rng.random(size) < self.probability
-
-    def _keep(self, values: list[Hashable]) -> None:
-        self.counts.update(values)
-        self.sampled_size += len(values)
+        mask = self._rng.random(len(values)) < self.probability
+        kept = [value for value, keep in zip(values, mask) if keep]
+        self.counts.update(kept)
+        self.sampled_size += len(kept)
+        return mask
 
     def state_dict(self) -> dict[str, Any]:
         """Full mutable state, including the generator's bit state.
@@ -111,17 +114,8 @@ class BernoulliSample:
         self.stream_size = int(state["stream_size"])
 
     def delete(self, value: Hashable) -> None:
-        """Deletion is not supported by Bernoulli samples.
-
-        Whether the deleted tuple is *in* the sample depends on a coin flip
-        made at its arrival that the sample did not record; section 2 of the
-        paper notes exactly this kind of difficulty for sampling under
-        dynamic streams.
-        """
-        raise NotImplementedError(
-            "Bernoulli samples cannot process deletions; this limitation is "
-            "part of why the paper moves away from sampling for streams"
-        )
+        """Always raises: see :func:`refuse_delete`."""
+        refuse_delete()
 
 
 class ReservoirSample:

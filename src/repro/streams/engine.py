@@ -28,7 +28,6 @@ Supported estimation methods mirror the paper's experimental cast:
 
 from __future__ import annotations
 
-from collections import Counter
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
@@ -51,8 +50,7 @@ from ..resilience.errors import CheckpointError, DegradedQueryError
 from ..core.synopsis import CosineSynopsis
 from ..histograms.equiwidth import EquiWidthHistogram
 from ..histograms.equiwidth import estimate_join_size as histogram_join
-from ..sampling.estimators import estimate_chain_join_size_samples
-from ..sampling.reservoir import BernoulliSample
+from ..sampling.reservoir import check_probability, refuse_delete
 from ..sketches.basic import AGMSSketch, split_budget
 from ..sketches.basic import estimate_multijoin_size as sketch_multijoin
 from ..sketches.hashing import SignFamily
@@ -1037,10 +1035,10 @@ class ContinuousQueryEngine:
         self, query: JoinQuery, method: str, budget: int, options: dict[str, Any]
     ) -> _QueryState:
         _require_chain(query, self.relations)
+        unified = self._unified(query)
         joined = self._joined_axes(query)
         rng = np.random.default_rng(options.get("seed", self._seed))
-        samples: list[BernoulliSample] = []
-        tuple_counts: list[Counter[Any]] = []
+        observers: list[_SampleObserver] = []
         for rel_name in query.relations:
             relation = self.relations[rel_name]
             # Budget = expected sample size; derive the Bernoulli rate from
@@ -1050,25 +1048,40 @@ class ContinuousQueryEngine:
             probability = options.get(
                 "probability", min(1.0, budget / max(relation.count, budget))
             )
-            sample = BernoulliSample(probability, seed=int(rng.integers(1 << 31)))
-            counter: Counter[Any] = Counter()
             axes = joined[rel_name]
+            observer = _SampleObserver(
+                probability,
+                np.random.default_rng(int(rng.integers(1 << 31))),
+                axes,
+                [unified[rel_name][ax] for ax in axes],
+            )
             # Replay history distributionally: binomial thinning per cell.
-            marginal = _marginalize(relation.counts, keep_axes=axes)
-            nz = np.argwhere(marginal > 0)
-            for cell in nz:
-                kept = int(rng.binomial(int(marginal[tuple(cell)]), probability))
-                if kept:
-                    key = tuple(int(c) for c in cell)
-                    counter[key if len(key) > 1 else key[0]] += kept
-                    sample.sampled_size += kept
-            sample.stream_size = relation.count
-            self._attach(relation, _SampleObserver(sample, counter, relation, axes))
-            samples.append(sample)
-            tuple_counts.append(counter)
+            embedded = embed_counts_tensor(relation.counts, relation.domains, unified[rel_name])
+            marginal = _marginalize(embedded, keep_axes=axes)
+            held = marginal > 0
+            observer.counts[held] = rng.binomial(marginal[held], probability)
+            observer.sampled_size = int(observer.counts.sum())
+            observer.stream_size = relation.count
+            self._attach(relation, observer)
+            observers.append(observer)
+        # The predicates, re-addressed to each sample tensor's joined axes.
+        schemas = {r: self.relations[r].attributes for r in query.relations}
+        positions = [joined[r] for r in query.relations]
+        slot_pairs = [
+            ((rel_a, positions[rel_a].index(ax_a)), (rel_b, positions[rel_b].index(ax_b)))
+            for (rel_a, ax_a), (rel_b, ax_b) in query.slot_pairs(schemas)
+        ]
 
         def estimate() -> float:
-            return estimate_chain_join_size_samples(samples, tuple_counts)
+            # |S1 ⋈ ... ⋈ Sk| / (p1 ... pk): the exact join of the samples.
+            # Float64 contraction: every partial sum is a non-negative
+            # integer no larger than the total, so it is exact below 2^53
+            # and cannot wrap above it.
+            total = exact_multijoin_size([o.counts for o in observers], slot_pairs)
+            scale = 1.0
+            for sample in observers:
+                scale /= sample.probability
+            return total * scale
 
         space = {r: budget for r in query.relations}
         return _QueryState(query, method, estimate, space)
@@ -1275,53 +1288,76 @@ class _SketchObserver(StreamObserver):
 
 
 class _SampleObserver(StreamObserver):
-    """Feeds joined-attribute index tuples into a Bernoulli sample."""
+    """A Bernoulli sample of a relation, kept as counts over its joined axes.
+
+    One coin per arriving tuple, drawn from the observer's own generator
+    in arrival order, so batched and per-tuple ingest keep the same rows.
+    Kept tuples are counted in an int64 tensor indexed in the query's
+    unified join domains, so the estimate is the exact join of the
+    sample tensors and compares values, not relation-local indices.
+    """
 
     # Structural: rebuilt from the query spec, not restored from checkpoints.
-    _checkpoint_exempt = ("axes",)
+    _checkpoint_exempt = ("axes", "domains")
 
     def __init__(
         self,
-        sample: BernoulliSample,
-        counter: Counter[Any],
-        relation: StreamRelation,
+        probability: float,
+        rng: np.random.Generator,
         axes: Sequence[int],
+        domains: Sequence[Domain],
     ) -> None:
-        self.sample = sample
-        self.counter = counter
+        self.probability = check_probability(probability)
+        self._rng = rng
         self.axes = list(axes)
+        self.domains = list(domains)
+        self.counts = np.zeros([d.size for d in self.domains], dtype=np.int64)
+        self.sampled_size = 0
+        self.stream_size = 0
 
     def state_dict(self) -> dict[str, Any]:
-        return {"sample": self.sample.state_dict(), "counter": dict(self.counter)}
+        """Full mutable state; the generator's bit state keeps restored coins exact."""
+        return {
+            "probability": self.probability,
+            "rng_state": self._rng.bit_generator.state,
+            "counts": self.counts.copy(),
+            "sampled_size": self.sampled_size,
+            "stream_size": self.stream_size,
+        }
 
     def load_state(self, state: dict[str, Any]) -> None:
-        # The estimate closure shares this Counter object; mutate in place.
-        self.sample.load_state(state["sample"])
-        self.counter.clear()
-        self.counter.update(state["counter"])
+        self.probability = float(state["probability"])
+        self._rng.bit_generator.state = state["rng_state"]
+        self.counts = np.array(state["counts"], dtype=np.int64)
+        self.sampled_size = int(state["sampled_size"])
+        self.stream_size = int(state["stream_size"])
 
     def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
         if op.kind is OpKind.DELETE:
-            self.sample.delete(op.values)  # raises: documented sampling limitation
-            return
-        idx = relation.indices_of(op.values)
-        # Sample keys must be hashable tuples; unavoidable on the per-op path.
-        key = tuple(idx[ax] for ax in self.axes)  # repro: noqa[REP006]
-        before = self.sample.sampled_size
-        self.sample.insert(key)
-        if self.sample.sampled_size > before:
-            self.counter[key if len(key) > 1 else key[0]] += 1
+            refuse_delete()
+        self.stream_size += 1
+        if self._rng.random() < self.probability:
+            # Per-op slow path; the allocation-free route is the batched on_ops.
+            cell = tuple(  # repro: noqa[REP006]
+                d.index_of(op.values[ax]) for d, ax in zip(self.domains, self.axes)
+            )
+            self.counts[cell] += 1
+            self.sampled_size += 1
 
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
         if kind is OpKind.DELETE:
-            self.sample.delete(tuple(rows[0]))  # raises: documented limitation
+            refuse_delete()
+        size = rows.shape[0]
+        self.stream_size += size
+        kept = rows[self._rng.random(size) < self.probability]
+        if not kept.shape[0]:
             return
-        keys = relation.delta_of(rows, kind).indices[:, self.axes]
-        kept = keys[self.sample.insert_rows(keys)]
-        if kept.shape[1] == 1:
-            self.counter.update(kept[:, 0].tolist())
+        cells = [d.indices_of(kept[:, ax]) for d, ax in zip(self.domains, self.axes)]
+        if len(cells) == 1:
+            self.counts += np.bincount(cells[0], minlength=self.counts.shape[0])
         else:
-            self.counter.update(map(tuple, kept.tolist()))
+            np.add.at(self.counts, tuple(cells), 1)
+        self.sampled_size += kept.shape[0]
 
 
 class _PartitionedObserver(StreamObserver):

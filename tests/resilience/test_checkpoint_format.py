@@ -85,6 +85,19 @@ class TestWriteRead:
         with pytest.raises(CheckpointIntegrityError, match="unsupported"):
             read_checkpoint(path)
 
+    def test_version_1_sample_state_rejected(self, tmp_path):
+        # Version 1 kept the sample as a value counter; version 2 reads a
+        # count tensor, so an old checkpoint is refused, not misread.
+        assert FORMAT_VERSION == 2
+        path = tmp_path / "x.ckpt"
+        write_checkpoint(path, sample_payload())
+        header_line, blob = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["version"] = 1
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        with pytest.raises(CheckpointIntegrityError, match="version 1 "):
+            read_checkpoint(path)
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "x.ckpt"
         write_checkpoint(path, sample_payload())

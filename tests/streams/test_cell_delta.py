@@ -1,14 +1,13 @@
 """The per-batch ``CellDelta``: computed once, shared by every observer."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
 from repro.core.normalization import Domain, unify_domains
-from repro.sampling.reservoir import BernoulliSample
 from repro.streams import JoinQuery, OpKind, StreamEngine
+from repro.streams.engine import _SampleObserver
 from repro.streams.relation import StreamObserver, StreamRelation
+from repro.streams.tuples import StreamOp
 
 
 class DeltaRecorder(StreamObserver):
@@ -74,15 +73,32 @@ class TestDelta:
 
 
 class TestKeptRowSampling:
-    def test_insert_rows_matches_per_value_insert(self, rng):
-        keys = rng.integers(0, 30, size=(500, 2))
-        batched = BernoulliSample(0.2, seed=8)
-        mask = batched.insert_rows(keys)
-        sequential = BernoulliSample(0.2, seed=8)
-        for row in keys:
-            sequential.insert(tuple(int(v) for v in row))
-        assert batched.counts == sequential.counts
-        assert batched.sampled_size == sequential.sampled_size == int(mask.sum())
+    def test_batched_observer_keeps_the_rows_per_tuple_keeps(self, rng):
+        # Coin parity: one coin per tuple from the same stream, so a batch
+        # keeps exactly the rows that tuple-at-a-time on_op keeps.
+        rows = rng.integers(0, 30, size=(500, 2))
+
+        def observer():
+            return _SampleObserver(
+                0.2, np.random.default_rng(8), [0, 1], [Domain.of_size(30)] * 2
+            )
+
+        relation = StreamRelation("R", ["A", "B"], [Domain.of_size(30)] * 2)
+        batched, sequential = observer(), observer()
+        batched.on_ops(relation, rows, OpKind.INSERT)
+        kept = []
+        for row in rows:
+            values = tuple(int(v) for v in row)
+            before = sequential.sampled_size
+            sequential.on_op(relation, StreamOp(values, OpKind.INSERT))
+            if sequential.sampled_size > before:
+                kept.append(values)
+        expected = np.zeros((30, 30), dtype=np.int64)
+        for a, b in kept:
+            expected[a, b] += 1
+        np.testing.assert_array_equal(batched.counts, expected)
+        np.testing.assert_array_equal(sequential.counts, expected)
+        assert batched.sampled_size == sequential.sampled_size == len(kept)
         assert batched.stream_size == sequential.stream_size == 500
 
     @pytest.mark.parametrize("arity", [1, 2])
@@ -103,16 +119,11 @@ class TestKeptRowSampling:
         batched.ingest_batch("R1", rows)
         for row in rows:
             sequential.insert("R1", tuple(int(v) for v in row))
-        samples = [
-            [obs.sample for _, obs in engine._queries["q"].attachments]
+        observers = [
+            [obs for _, obs in engine._queries["q"].attachments]
             for engine in (batched, sequential)
         ]
-        counters = [
-            [Counter(obs.counter) for _, obs in engine._queries["q"].attachments]
-            for engine in (batched, sequential)
-        ]
-        assert counters[0] == counters[1]
-        for a, b in zip(*samples):
-            assert a.counts == b.counts
+        for a, b in zip(*observers):
+            np.testing.assert_array_equal(a.counts, b.counts)
             assert (a.sampled_size, a.stream_size) == (b.sampled_size, b.stream_size)
         assert batched.answer("q") == sequential.answer("q")

@@ -1,13 +1,13 @@
 """``repro.analysis``: the repository's own static-analysis pass.
 
 The estimator/sharding/resilience stack rests on conventions no
-off-the-shelf linter checks: every ``repro_*`` metric registration must
-agree with the generated catalog or :meth:`MetricsRegistry.merge` raises
-at runtime when shard registries fold together; every checkpointed class
-must serialize (or explicitly exempt) each piece of ``__init__`` state or
-recovery silently drops it; functions dispatched through process shards
-must stay picklable and deterministic; and estimator math must never
-compare floats with ``==``.  This package turns those conventions into
+off-the-shelf linter checks: functions dispatched through process shards
+must stay picklable and deterministic, estimator math must never compare
+floats with ``==``, observers must honour the batch protocol, and
+thread- or loop-reachable code must keep its lock and async discipline.
+(Metric names and checkpoint state hold by construction instead: see
+:mod:`repro.obs.catalog` and :mod:`repro.core.stateful`.)  This package
+turns those conventions into
 CI-enforced invariants: a small AST-walking rule engine
 (:mod:`repro.analysis.runner`) with per-rule configuration
 (:mod:`repro.analysis.config`), inline ``# repro: noqa[CODE]``

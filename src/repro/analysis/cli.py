@@ -1,8 +1,7 @@
 """Command-line front end: ``python -m repro.analysis [paths...]``.
 
-Exit codes: 0 = clean (or artifact updated / baseline written or
-pruned), 1 = findings reported, 2 = usage error, generation error, or
-internal analyzer error.  CI keys off the distinction: 1 means the
+Exit codes: 0 = clean (or baseline written or pruned), 1 = findings
+reported, 2 = usage error or internal analyzer error.  CI keys off the distinction: 1 means the
 *code under analysis* is in violation; 2 means the *analyzer itself*
 failed and the result must not be trusted as clean.
 """
@@ -16,8 +15,7 @@ from typing import Any, Sequence
 
 from .baseline import Baseline
 from .config import load_config
-from .core import SourceTree, project_root_for
-from .generate import GenerationError, update_metric_catalog, update_state_manifest
+from .core import project_root_for
 from .reporters import RENDERERS
 from .rules import ALL_RULES
 from .runner import run_analysis
@@ -81,16 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop baseline entries that no longer match any finding",
     )
     parser.add_argument(
-        "--update-metric-catalog",
-        action="store_true",
-        help="regenerate the metric catalog from registration sites",
-    )
-    parser.add_argument(
-        "--update-state-manifest",
-        action="store_true",
-        help="regenerate the checkpoint state-shape manifest",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list registered rules and exit",
@@ -109,19 +97,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     root = project_root_for(args.paths[0] if args.paths else Path.cwd())
     paths = [Path(p) for p in args.paths] or [root / "src"]
-
-    if args.update_metric_catalog or args.update_state_manifest:
-        config = load_config(root)
-        tree = SourceTree.load(root, paths)
-        try:
-            if args.update_metric_catalog:
-                print(f"wrote {update_metric_catalog(root, tree, config)}")
-            if args.update_state_manifest:
-                print(f"wrote {update_state_manifest(root, tree, config)}")
-        except GenerationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 0
 
     overrides: dict[str, Any] = {}
     select = _split(args.select)

@@ -2,12 +2,12 @@
 
 Every rule reads one mapping keyed by its kebab-case name.  The shipped
 defaults below describe *this* repository (which paths must stay
-deterministic, where the metric catalog and checkpoint-state manifest
-live); a ``[tool.repro-analysis]`` table in ``pyproject.toml`` can
-override any of it per project::
+deterministic, which modules hold the lock-ordered code); a
+``[tool.repro-analysis]`` table in ``pyproject.toml`` can override any
+of it per project::
 
     [tool.repro-analysis]
-    select = ["REP001", "REP004"]          # run only these rules
+    select = ["REP003", "REP004"]          # run only these rules
     baseline = "analysis-baseline.json"
 
     [tool.repro-analysis.shard-safety]
@@ -32,21 +32,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
     "select": [],  # empty = every registered rule
     "ignore": [],
     "baseline": "analysis-baseline.json",
-    "metric-catalog": {
-        # Metric names that must agree with the generated catalog.
-        "prefix": "repro_",
-        # Generated catalog module, relative to the project root.
-        "catalog": "src/repro/obs/catalog.py",
-    },
-    "checkpoint-coverage": {
-        # Generated state-shape manifest, relative to the project root.
-        "manifest": "src/repro/resilience/state_manifest.py",
-        # Module whose FORMAT_VERSION must be bumped on state-shape change.
-        "format-source": "src/repro/resilience/checkpoint.py",
-        # Class attribute naming __init__ state that is deliberately not
-        # serialized (structural parameters rebuilt from the query spec).
-        "exempt-attribute": "_checkpoint_exempt",
-    },
     "shard-safety": {
         # Library paths that must stay deterministic: no wall-clock time,
         # no unseeded RNG (answer parity across shard replays depends on
@@ -107,16 +92,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
             "src/repro/obs/otel/export.py",
             "src/repro/obs/server.py",
         ],
-    },
-    "metric-drift": {
-        "prefix": "repro_",
-        "catalog": "src/repro/obs/catalog.py",
-        # Full metric-name literals that are legitimately not catalogued
-        # (e.g. negative fixtures in docs).
-        "allow": [],
-    },
-    "checkpoint-completeness": {
-        "exempt-attribute": "_checkpoint_exempt",
     },
     "async-safety": {
         # Coroutine bodies under these prefixes must not block the loop.

@@ -38,8 +38,8 @@ class RelatedLocation:
 
     The primary location is where the violation must be fixed; related
     locations explain *why* it is a violation (the thread entry point
-    that reaches a mutation, the inherited ``state_dict`` that misses an
-    attribute, the conflicting lock ordering in another module).
+    that reaches a mutation, the blocking call a coroutine reaches, the
+    conflicting lock ordering in another module).
     """
 
     path: str

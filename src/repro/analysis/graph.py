@@ -1,10 +1,9 @@
 """The whole-program layer: one AST pass, queryable cross-module indexes.
 
 Per-file rules see one :class:`~repro.analysis.core.SourceFile` at a
-time; the invariants added in this package's second generation (lock
-discipline on executor call paths, checkpoint completeness across an
-inheritance chain, metric names referenced far from their registration)
-are properties of the *program*, not of any file.  :class:`ProjectGraph`
+time; the whole-program invariants (lock discipline on thread-reachable
+call paths, no blocking call reachable from a coroutine) are properties
+of the *program*, not of any file.  :class:`ProjectGraph`
 digests a parsed :class:`~repro.analysis.core.SourceTree` into:
 
 * a **module index** — project-relative paths mapped to dotted module
@@ -13,10 +12,9 @@ digests a parsed :class:`~repro.analysis.core.SourceTree` into:
 * a **symbol table** per module — every top-level class, function, and
   assignment;
 * a **class index** — methods, attribute stores, first-assigned
-  ``__init__`` values (so rules can ask "is ``self._lock`` a
-  ``threading.Lock``?"), literal class-level tuples
-  (``_checkpoint_exempt`` and friends), and best-effort resolved base
-  classes for cross-module subclass closures;
+  values (so rules can ask "is ``self._lock`` a ``threading.Lock``?"),
+  and best-effort resolved base classes for cross-module subclass
+  closures;
 * a **function index** covering methods and nested functions (a
   ``threading.Thread(target=run)`` closure target is a first-class call
   graph node);
@@ -27,18 +25,18 @@ digests a parsed :class:`~repro.analysis.core.SourceTree` into:
   produce *no* edge, so closures computed over the graph under-approximate
   reachability instead of drowning rules in false positives.
 
-The graph is built once per analysis run and cached on the tree, so ten
-cross-module rules cost one traversal.
+The graph is built once per analysis run and cached on the tree, so the
+cross-module rules share one traversal.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 from .core import SourceFile, SourceTree
-from .rules.base import attr_chain, call_name, string_tuple
+from .rules.base import attr_chain, call_name
 
 __all__ = [
     "ClassInfo",
@@ -108,12 +106,6 @@ class ClassInfo:
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
     #: attr -> first value expression assigned to ``self.attr`` anywhere.
     attr_values: dict[str, ast.expr] = field(default_factory=dict)
-    #: attr -> every ``self.attr`` (or ``self.attr[...]``) store site.
-    attr_stores: dict[str, list[ast.AST]] = field(default_factory=dict)
-    #: Attributes assigned in ``__init__`` specifically.
-    init_attrs: dict[str, ast.AST] = field(default_factory=dict)
-    #: Literal class-level string tuples (``_checkpoint_exempt`` etc.).
-    class_tuples: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: Class-level ``attr: Annotation`` declarations, as dotted text.
     attr_annotations: dict[str, str] = field(default_factory=dict)
 
@@ -229,19 +221,8 @@ class ProjectGraph:
                 annotation = _annotation_text(stmt.annotation)
                 if annotation:
                     info.attr_annotations[stmt.target.id] = annotation
-                if stmt.value is not None:
-                    resolved = string_tuple(stmt.value)
-                    if resolved is not None:
-                        info.class_tuples[stmt.target.id] = resolved[0]
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        resolved = string_tuple(stmt.value)
-                        if resolved is not None:
-                            info.class_tuples[target.id] = resolved[0]
         for method in info.methods.values():
             for store_node, attr in _self_stores(method.node):
-                info.attr_stores.setdefault(attr, []).append(store_node)
                 if isinstance(store_node, ast.Attribute):
                     value = _store_value(method.node, store_node)
                     # Prefer the store that constructs something: the
@@ -256,8 +237,6 @@ class ProjectGraph:
                         )
                     ):
                         info.attr_values[attr] = value
-                if method.name == "__init__":
-                    info.init_attrs.setdefault(attr, store_node)
 
     def _index_function(
         self,
@@ -417,15 +396,6 @@ class ProjectGraph:
             if method in owner.methods:
                 return owner
         return None
-
-    def class_tuple(self, cls: ClassInfo, name: str) -> tuple[str, ...]:
-        """A literal class tuple, unioned across the project MRO."""
-        values: list[str] = []
-        for owner in self.mro(cls):
-            for value in owner.class_tuples.get(name, ()):
-                if value not in values:
-                    values.append(value)
-        return tuple(values)
 
     def subclasses_of(self, base_names: Iterable[str]) -> list[ClassInfo]:
         """Every project class whose MRO reaches a base named in ``base_names``.

@@ -15,8 +15,6 @@ __all__ = [
     "iter_methods",
     "is_self_attribute",
     "path_in",
-    "self_attribute_stores",
-    "string_tuple",
 ]
 
 
@@ -90,17 +88,6 @@ def is_self_attribute(node: ast.AST) -> bool:
     )
 
 
-def self_attribute_stores(func: ast.FunctionDef) -> Iterator[ast.Attribute]:
-    """``self.<attr>`` targets assigned anywhere in a function body."""
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Store)
-            and is_self_attribute(node)
-        ):
-            yield node
-
-
 def path_in(rel_path: str, prefixes: "tuple[str, ...]") -> bool:
     """Whether ``rel_path`` falls under any prefix (empty prefixes = everywhere)."""
     if not prefixes:
@@ -109,25 +96,3 @@ def path_in(rel_path: str, prefixes: "tuple[str, ...]") -> bool:
         rel_path == prefix or rel_path.startswith(prefix.rstrip("/") + "/")
         for prefix in prefixes
     )
-
-
-def string_tuple(node: ast.AST) -> tuple[tuple[str, ...], bool] | None:
-    """Resolve a literal label tuple/list to its strings.
-
-    Returns ``(labels, has_star)`` where ``has_star`` records a trailing
-    ``*rest`` element (the optional-shard-suffix idiom), or ``None`` when
-    the expression is not statically resolvable.
-    """
-    if not isinstance(node, (ast.Tuple, ast.List)):
-        return None
-    labels: list[str] = []
-    has_star = False
-    for element in node.elts:
-        if isinstance(element, ast.Starred):
-            has_star = True
-            continue
-        if isinstance(element, ast.Constant) and isinstance(element.value, str):
-            labels.append(element.value)
-        else:
-            return None
-    return tuple(labels), has_star

@@ -25,18 +25,19 @@ adapter feeding a sketch from a relation's insert/delete stream.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
 
+from ..core.stateful import Stateful
 from ..streams.relation import StreamObserver
 from ..streams.tuples import OpKind, StreamOp
 
 __all__ = ["DegreeObserver", "DegreeSketch"]
 
 
-class DegreeSketch:
+class DegreeSketch(Stateful):
     """Exact frequency (degree) vector over one attribute's unified domain.
 
     ``freq[i]`` is the current multiplicity of domain index ``i`` in the
@@ -120,14 +121,6 @@ class DegreeSketch:
         total = float(np.power(vec, p).sum())
         return float(total ** (1.0 / p))
 
-    # -- state ---------------------------------------------------------
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {"freq": self.freq.copy()}
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        self.load_counts(state["freq"])
-
 
 class DegreeObserver(StreamObserver):
     """Feeds a :class:`DegreeSketch` from one relation's op stream.
@@ -161,9 +154,3 @@ class DegreeObserver(StreamObserver):
         delta = relation.delta_of(rows, kind)
         cells, counts = delta.project([self.axis], [self.domain])
         self.sketch.update_cells(cells[:, 0], counts)
-
-    def state_dict(self) -> Dict[str, Any]:
-        return self.sketch.state_dict()
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        self.sketch.load_state(state)

@@ -29,6 +29,7 @@ from numpy.typing import NDArray
 from ..fastpath import phi_block
 from .basis import GridKind
 from .normalization import Domain
+from .stateful import Stateful
 from .triangular import (
     full_indices,
     order_for_budget,
@@ -43,7 +44,7 @@ from .triangular import (
 _CHUNK_ROWS = 2048
 
 
-class CosineSynopsis:
+class CosineSynopsis(Stateful):
     """Truncated d-dimensional cosine transform of a stream's distribution.
 
     Parameters
@@ -353,27 +354,6 @@ class CosineSynopsis:
             tensor = np.moveaxis(tensor, -1, j)
             tensor = tensor / domain.size
         return tensor * self._count
-
-    def state_dict(self) -> dict[str, Any]:
-        """Mutable state only (sums + count), for engine checkpoints.
-
-        Unlike :meth:`to_dict` this omits the structural parameters —
-        the checkpoint stores the query spec separately and rebuilds the
-        synopsis from it, then restores the numeric state in place with
-        :meth:`load_state` so estimate closures keep their object.
-        """
-        return {"sums": self._sums.copy(), "count": self._count}
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        """Restore state captured by :meth:`state_dict`, in place."""
-        sums = np.asarray(state["sums"], dtype=float)
-        if sums.shape != self._sums.shape:
-            raise ValueError(
-                f"checkpointed synopsis has {sums.shape[0]} coefficients, "
-                f"this synopsis stores {self._sums.shape[0]}"
-            )
-        self._sums = sums.copy()
-        self._count = int(state["count"])
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to plain Python types (JSON-compatible)."""

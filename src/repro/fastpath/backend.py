@@ -151,11 +151,9 @@ def register_backend_gauge(registry: MetricsRegistry) -> None:
     :class:`repro.obs.metrics.MetricsRegistry`; it is passed in rather
     than imported so this module stays below the obs layer.
     """
-    family = registry.gauge(
-        "repro_fastpath_backend",
-        "Active repro.fastpath kernel backend (1 on the selected label).",
-        labelnames=("backend",),
-    )
+    from ..obs.catalog import FASTPATH_BACKEND
+
+    family = registry.register(FASTPATH_BACKEND)
     if family not in _GAUGE_FAMILIES:
         _GAUGE_FAMILIES.append(family)
     _sync_gauge(family)

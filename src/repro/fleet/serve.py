@@ -42,6 +42,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
+from ..obs import catalog
 from ..obs.metrics import MetricsRegistry
 from ..resilience.errors import DegradedQueryError
 from ..sharding.engine import ShardedStreamEngine
@@ -84,15 +85,8 @@ class FleetServer:
         self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fleet-serve")
         self._server: asyncio.AbstractServer | None = None
         self._client_tasks: set[asyncio.Task[None]] = set()
-        self._requests_metric = self.registry.counter(
-            "repro_serve_requests_total",
-            "Serve-daemon requests handled, by operation.",
-            labelnames=("op",),
-        )
-        self._clients_metric = self.registry.gauge(
-            "repro_serve_clients",
-            "Serve-daemon client connections currently open.",
-        )
+        self._requests_metric = self.registry.register(catalog.SERVE_REQUESTS)
+        self._clients_metric = self.registry.register(catalog.SERVE_CLIENTS)
         #: Requests whose engine work has completed (the backpressure
         #: tests read this to prove a slow client throttles dispatch).
         self.dispatched = 0

@@ -52,6 +52,7 @@ import threading
 from pathlib import Path
 from typing import Any, Sequence
 
+from ..obs import catalog
 from ..obs.metrics import MetricsRegistry
 from ..resilience.journal import CommandJournal
 from ..sharding.executor import ShardError
@@ -231,21 +232,9 @@ class ShardSupervisor:
         self._scratch: str | None = None
         self._stop_event = threading.Event()
         self._heartbeat_thread: threading.Thread | None = None
-        self._restarts_metric = self.registry.counter(
-            "repro_fleet_restarts_total",
-            "Supervised shard worker restarts, by shard.",
-            labelnames=("shard",),
-        )
-        self._misses_metric = self.registry.counter(
-            "repro_fleet_heartbeat_misses_total",
-            "Heartbeat pings a shard worker failed to answer, by shard.",
-            labelnames=("shard",),
-        )
-        self._up_metric = self.registry.gauge(
-            "repro_fleet_shard_up",
-            "Shard worker health (1 = serving, 0 = down).",
-            labelnames=("shard",),
-        )
+        self._restarts_metric = self.registry.register(catalog.FLEET_RESTARTS)
+        self._misses_metric = self.registry.register(catalog.FLEET_HEARTBEAT_MISSES)
+        self._up_metric = self.registry.register(catalog.FLEET_SHARD_UP)
 
     # ------------------------------------------------------------------ #
     # lifecycle

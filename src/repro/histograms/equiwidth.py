@@ -19,9 +19,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..core.normalization import Domain
+from ..core.stateful import Stateful
 
 
-class EquiWidthHistogram:
+class EquiWidthHistogram(Stateful):
     """Per-bucket counts over a fixed ``Domain`` with equal-width buckets.
 
     Buckets partition the ``n`` domain indices into ``b`` contiguous runs
@@ -79,21 +80,6 @@ class EquiWidthHistogram:
         buckets = np.searchsorted(self.boundaries, indices, side="right") - 1
         np.add.at(self.counts, buckets, counts.astype(float))
         self._count += int(counts.sum())
-
-    def state_dict(self) -> dict[str, Any]:
-        """Mutable state only (bucket counts + count), for checkpoints."""
-        return {"counts": self.counts.copy(), "count": self._count}
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        """Restore state captured by :meth:`state_dict`, in place."""
-        counts = np.asarray(state["counts"], dtype=float)
-        if counts.shape != self.counts.shape:
-            raise ValueError(
-                f"checkpointed histogram has {counts.shape[0]} buckets, "
-                f"this histogram has {self.counts.shape[0]}"
-            )
-        self.counts = counts.copy()
-        self._count = int(state["count"])
 
     @classmethod
     def from_counts(

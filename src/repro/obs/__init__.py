@@ -33,7 +33,6 @@ from .metrics import (
     LatencyHistogram,
     MetricFamily,
     MetricsRegistry,
-    catalog_mismatches,
 )
 from .telemetry import Telemetry
 from .tracing import DEFAULT_TRACE_CAPACITY, SpanEvent, TraceContext, Tracer
@@ -50,7 +49,6 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "MetricsServer",
-    "catalog_mismatches",
     "DEFAULT_LATENCY_BUCKETS",
     "RELATIVE_ERROR_BUCKETS",
     "Telemetry",

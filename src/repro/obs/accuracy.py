@@ -24,13 +24,8 @@ import math
 from time import perf_counter
 from typing import TYPE_CHECKING, Mapping, Sequence, cast
 
-from .metrics import (
-    RELATIVE_ERROR_BUCKETS,
-    Counter,
-    LatencyHistogram,
-    MetricFamily,
-    MetricsRegistry,
-)
+from . import catalog
+from .metrics import Counter, LatencyHistogram, MetricFamily, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..streams.engine import ContinuousQueryEngine
@@ -67,28 +62,11 @@ class AccuracyTracker:
         self.queries = tuple(queries) if queries is not None else None
         self.registry = registry if registry is not None else MetricsRegistry()
         self._error_hist = cast(
-            MetricFamily,
-            self.registry.histogram(
-                "repro_accuracy_relative_error",
-                "Streaming relative error of answer() vs exact_answer(), per query.",
-                labelnames=("query",),
-                buckets=RELATIVE_ERROR_BUCKETS,
-            ),
+            MetricFamily, self.registry.register(catalog.ACCURACY_RELATIVE_ERROR)
         )
-        self._samples = cast(
-            MetricFamily,
-            self.registry.counter(
-                "repro_accuracy_samples_total",
-                "Accuracy samples taken, per query.",
-                labelnames=("query",),
-            ),
-        )
+        self._samples = cast(MetricFamily, self.registry.register(catalog.ACCURACY_SAMPLES))
         self._sample_time = cast(
-            Counter,
-            self.registry.counter(
-                "repro_accuracy_sampling_seconds_total",
-                "Seconds spent computing accuracy samples (estimate + exact).",
-            ),
+            Counter, self.registry.register(catalog.ACCURACY_SAMPLING_SECONDS)
         )
         self._last_error: dict[str, float] = {}
         self._last_sampled_at = 0

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..resilience.retry import RetryPolicy, retry_io
+from . import catalog
 from .metrics import LatencyHistogram, MetricFamily, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -121,10 +122,7 @@ class JsonlSnapshotWriter:
         self.snapshots_written = 0
         self.drops = 0
         self._drop_counter = (
-            registry.counter(
-                "repro_export_drops_total",
-                "Snapshot lines dropped after exhausting write retries.",
-            )
+            registry.register(catalog.EXPORT_DROPS)
             if registry is not None
             else None
         )

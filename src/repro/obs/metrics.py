@@ -20,7 +20,10 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from typing import Any, Callable, Iterator, Mapping, Sequence, Union, cast
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence, Union, cast
+
+if TYPE_CHECKING:
+    from .catalog import MetricSpec
 
 __all__ = [
     "Counter",
@@ -30,7 +33,6 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "RELATIVE_ERROR_BUCKETS",
-    "catalog_mismatches",
 ]
 
 #: Fixed latency buckets (seconds), a 1-2.5-5 ladder from 1µs to 10s.
@@ -362,6 +364,23 @@ class MetricsRegistry:
         self.__dict__.update(state)
         self._lock = threading.Lock()
 
+    def register(self, spec: "MetricSpec", sharded: bool = False) -> Metric | MetricFamily:
+        """Get or create the metric a :mod:`repro.obs.catalog` spec defines.
+
+        ``sharded`` appends the trailing ``shard`` label, which only specs
+        flagged ``shard_suffix`` accept.
+        """
+        labels = spec.labels
+        if sharded:
+            if not spec.shard_suffix:
+                raise ValueError(f"metric {spec.name!r} takes no shard label")
+            labels += ("shard",)
+        if spec.kind == "counter":
+            return self.counter(spec.name, spec.help, labels)
+        if spec.kind == "gauge":
+            return self.gauge(spec.name, spec.help, labels)
+        return self.histogram(spec.name, spec.help, labels, buckets=spec.buckets)
+
     def counter(
         self, name: str, help: str = "", labelnames: Sequence[str] = ()
     ) -> Counter | MetricFamily:
@@ -548,39 +567,3 @@ def _merge_metric(mine: Metric | MetricFamily, theirs: Metric | MetricFamily) ->
         mine._max = max(mine._max, theirs._max)
     else:  # pragma: no cover - no other metric kinds exist
         raise TypeError(f"cannot merge metric of type {type(theirs).__name__}")
-
-
-def catalog_mismatches(registry: MetricsRegistry) -> list[str]:
-    """Runtime counterpart of the REP001 static rule.
-
-    Compares every ``repro_*`` metric actually registered in ``registry``
-    against the generated :data:`repro.obs.catalog.METRIC_CATALOG` and
-    returns a human-readable problem list (empty = conformant).  Entries
-    flagged ``shard_suffix`` accept an extra trailing ``shard`` label,
-    matching the engine's per-shard registration idiom.
-    """
-    from .catalog import METRIC_CATALOG
-
-    problems: list[str] = []
-    for name, metric in registry.collect():
-        if not name.startswith("repro_"):
-            continue
-        entry = METRIC_CATALOG.get(name)
-        if entry is None:
-            problems.append(f"{name}: not in the generated metric catalog")
-            continue
-        if metric.kind != entry["kind"]:
-            problems.append(
-                f"{name}: registered as {metric.kind}, catalogued as {entry['kind']}"
-            )
-            continue
-        labels = metric.labelnames if isinstance(metric, MetricFamily) else ()
-        expected = tuple(cast("Sequence[str]", entry["labels"]))
-        if labels != expected and not (
-            entry["shard_suffix"] and labels == expected + ("shard",)
-        ):
-            problems.append(
-                f"{name}: registered with labels {labels}, catalogued with {expected}"
-                + (" (+ optional shard)" if entry["shard_suffix"] else "")
-            )
-    return problems

@@ -4,10 +4,7 @@ The engine's spans and metrics speak OTLP without installing anything:
 :mod:`~repro.obs.otel.encode` maps them onto the OTLP/JSON data model
 with the standard library alone, :mod:`~repro.obs.otel.export` ships the
 payloads (HTTP collector or JSON-lines file/stdout) on a periodic push
-loop with retry/backoff and drop accounting, and
-:mod:`~repro.obs.otel.backend` upgrades to the real
-``opentelemetry-sdk`` when it happens to be installed (the
-``repro.fastpath`` gated-import idiom; override with ``REPRO_OTEL``).
+loop with retry/backoff and drop accounting.
 
 Combined with :class:`~repro.obs.tracing.TraceContext` propagation in
 ``repro.sharding``, a process-sharded run exports per-shard spans that
@@ -32,15 +29,6 @@ The ``repro-experiments monitor`` subcommand wires this up via
 ``--otlp-endpoint`` / ``--otlp-file``.
 """
 
-from .backend import (
-    BACKENDS,
-    HAVE_SDK,
-    available_backends,
-    backend_name,
-    describe,
-    register_backend_gauge,
-    set_backend,
-)
 from .encode import (
     SCOPE_NAME,
     default_resource,
@@ -62,13 +50,6 @@ from .export import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "HAVE_SDK",
-    "available_backends",
-    "backend_name",
-    "describe",
-    "register_backend_gauge",
-    "set_backend",
     "SCOPE_NAME",
     "default_resource",
     "encode_metrics",

@@ -37,9 +37,9 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from ...resilience.retry import RetryPolicy, retry_io
+from .. import catalog
 from ..metrics import Counter, MetricFamily, MetricsRegistry
 from ..tracing import SpanEvent
-from . import backend as otel_backend
 from .encode import default_resource, encode_metrics, encode_span_groups
 
 __all__ = [
@@ -87,21 +87,9 @@ class _AccountedExporter:
 
     def bind_registry(self, registry: MetricsRegistry) -> None:
         """Register the ``repro_otel_export_*`` self-metrics in ``registry``."""
-        exports = registry.counter(
-            "repro_otel_exports_total",
-            "OTLP payloads exported successfully, by signal.",
-            labelnames=("signal",),
-        )
-        drops = registry.counter(
-            "repro_otel_export_drops_total",
-            "OTLP payloads dropped after exhausting export retries, by signal.",
-            labelnames=("signal",),
-        )
-        retries = registry.counter(
-            "repro_otel_export_retries_total",
-            "OTLP export attempts that failed and were retried, by signal.",
-            labelnames=("signal",),
-        )
+        exports = registry.register(catalog.OTEL_EXPORTS)
+        drops = registry.register(catalog.OTEL_EXPORT_DROPS)
+        retries = registry.register(catalog.OTEL_EXPORT_RETRIES)
         assert (
             isinstance(exports, MetricFamily)
             and isinstance(drops, MetricFamily)
@@ -223,9 +211,7 @@ class OtelPushLoop:
     a single group for one engine); draining means each span is exported
     exactly once.  ``metrics`` is a registry or a zero-argument callable
     returning one (a fleet merges per-shard registries on demand).
-    ``resource`` attributes are stamped on everything exported, and the
-    active :mod:`~repro.obs.otel.backend` is mirrored into the registry's
-    ``repro_otel_backend`` gauge.
+    ``resource`` attributes are stamped on everything exported.
 
     Three driving styles: :meth:`push_now` on demand, :meth:`maybe_push`
     unconditionally from a loop (rate-limited to ``every_s``), or
@@ -263,10 +249,8 @@ class OtelPushLoop:
         self_registry = registry
         if self_registry is None and isinstance(metrics, MetricsRegistry):
             self_registry = metrics
-        if self_registry is not None:
-            if isinstance(self.exporter, _AccountedExporter):
-                self.exporter.bind_registry(self_registry)
-            otel_backend.register_backend_gauge(self_registry)
+        if self_registry is not None and isinstance(self.exporter, _AccountedExporter):
+            self.exporter.bind_registry(self_registry)
 
     def _registry_now(self) -> MetricsRegistry | None:
         if callable(self._metrics):
@@ -291,8 +275,6 @@ class OtelPushLoop:
                 ]
                 span_count = sum(len(events) for _, events in groups)
                 if span_count:
-                    for extra, events in groups:
-                        otel_backend.replay_spans_via_sdk(events, {**self._resource, **extra})
                     payload = encode_span_groups(groups, base_resource=self._resource)
                     if self.exporter.export("traces", payload):
                         payloads += 1

@@ -1,9 +1,9 @@
 """Versioned, integrity-checked engine checkpoints.
 
-File format (version 2): one ASCII JSON header line, a newline, then the
+File format (version 3): one ASCII JSON header line, a newline, then the
 pickled payload bytes::
 
-    {"magic": "repro-checkpoint", "version": 2,
+    {"magic": "repro-checkpoint", "version": 3,
      "sha256": "<hex digest of the payload bytes>", "payload_bytes": N}
     <N bytes of pickle>
 
@@ -60,9 +60,11 @@ __all__ = [
 ]
 
 FORMAT_MAGIC = "repro-checkpoint"
-#: Version 2 (1.12.0): the ``sample`` observer's state is a kept-count
-#: tensor over the query's unified join domains instead of a value counter.
-FORMAT_VERSION = 2
+#: Version 3 (1.13.0): observer states are derived from attributes
+#: (:class:`repro.core.stateful.Stateful`), so keys are attribute names
+#: and a synopsis's state nests under its observer's key.  Version 2
+#: (1.12.0) held flat hand-listed states and is refused.
+FORMAT_VERSION = 3
 
 #: Rotated checkpoint files: ``checkpoint-00000042.ckpt``.
 _STORE_PATTERN = re.compile(r"^checkpoint-(\d{8})\.ckpt$")

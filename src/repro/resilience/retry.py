@@ -136,11 +136,9 @@ def retry_io(
     started = clock()
     counter = None
     if registry is not None and operation is not None:
-        counter = registry.counter(
-            "repro_retries_total",
-            "I/O retries performed, by logical operation.",
-            labelnames=("operation",),
-        ).labels(operation)
+        from ..obs.catalog import RETRIES
+
+        counter = registry.register(RETRIES).labels(operation)
     for attempt in range(policy.attempts):
         try:
             return fn()

@@ -84,35 +84,6 @@ class BernoulliSample:
         self.sampled_size += len(kept)
         return mask
 
-    def state_dict(self) -> dict[str, Any]:
-        """Full mutable state, including the generator's bit state.
-
-        Capturing ``bit_generator.state`` is what makes recovery exact:
-        a restored sample flips the *same* coins for post-restore
-        arrivals as the uncrashed original would have, so checkpointed
-        and continuous runs stay bit-identical.
-        """
-        return {
-            "probability": self.probability,
-            "rng_state": self._rng.bit_generator.state,
-            "counts": dict(self.counts),
-            "sampled_size": self.sampled_size,
-            "stream_size": self.stream_size,
-        }
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        """Restore state captured by :meth:`state_dict`, in place.
-
-        Mutates ``self.counts`` rather than replacing it, because the
-        engine's estimate closures share the Counter object.
-        """
-        self.probability = float(state["probability"])
-        self._rng.bit_generator.state = state["rng_state"]
-        self.counts.clear()
-        self.counts.update(state["counts"])
-        self.sampled_size = int(state["sampled_size"])
-        self.stream_size = int(state["stream_size"])
-
     def delete(self, value: Hashable) -> None:
         """Always raises: see :func:`refuse_delete`."""
         refuse_delete()

@@ -45,6 +45,7 @@ from typing import Any, Sequence, cast
 import numpy as np
 from numpy.typing import NDArray
 
+from ..obs import catalog
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import Telemetry
 from ..obs.tracing import SpanEvent, Tracer
@@ -255,11 +256,7 @@ class ShardedStreamEngine:
         if self.dead_letters is not None:
             rows, rejects = validate_rows(relation, rows)
             if rejects:
-                counter = self._local_registry.counter(
-                    "repro_ingest_dead_letters_total",
-                    "Rows rejected into the dead-letter buffer.",
-                    labelnames=("relation", "reason"),
-                )
+                counter = self._local_registry.register(catalog.INGEST_DEAD_LETTERS)
                 op_kind = kind.name.lower()
                 for row, reason in rejects:
                     self.dead_letters.add(
@@ -632,19 +629,9 @@ class ShardedStreamEngine:
         clamped = estimate if estimate <= bound else bound
         fired = bool(estimate > bound)
         if fired:
-            self._local_registry.counter(
-                "repro_bound_clamps_total",
-                "Answers clamped because the point estimate exceeded the "
-                "guaranteed upper bound, per query.",
-                labelnames=("query",),
-            ).labels(name).inc()
+            self._local_registry.register(catalog.BOUND_CLAMPS).labels(name).inc()
         tightness = 1.0 if bound <= 0 else min(1.0, max(clamped, 0.0) / bound)
-        self._local_registry.gauge(
-            "repro_bound_tightness_ratio",
-            "Clamped estimate as a fraction of its guaranteed upper bound, "
-            "per query (1.0 = estimate at or above the bound).",
-            labelnames=("query",),
-        ).labels(name).set(tightness)
+        self._local_registry.register(catalog.BOUND_TIGHTNESS).labels(name).set(tightness)
         return {
             "estimate": estimate,
             "upper_bound": bound,

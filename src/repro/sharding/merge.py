@@ -58,16 +58,23 @@ COORDINATOR_METHODS = frozenset({"sample", "partitioned_sketch", "wavelet"})
 def merge_observer_states(states: list[dict[str, Any]]) -> dict[str, Any]:
     """Combine per-shard ``state_dict()`` payloads of one observer.
 
-    Array-valued fields are summed (coefficients, atoms, buckets) and
-    the integer ``count`` fields add; any other field must be identical
+    Array-valued fields are summed (coefficients, atoms, buckets), the
+    integer count fields add, and nested dicts (an observer's synopsis
+    state) merge field by field; any other field must be identical
     across shards (structural state such as partition boundaries is not
     mergeable and belongs to a coordinator method instead).
     """
     if not states:
         raise ValueError("cannot merge an empty state list")
+    return _merge(states)
+
+
+def _merge(states: list[dict[str, Any]]) -> dict[str, Any]:
     merged: dict[str, Any] = {}
     for key, first in states[0].items():
-        if isinstance(first, np.ndarray):
+        if isinstance(first, dict):
+            merged[key] = _merge([state[key] for state in states])
+        elif isinstance(first, np.ndarray):
             total = first.copy()
             for other in states[1:]:
                 value = np.asarray(other[key])

@@ -27,6 +27,7 @@ from numpy.typing import NDArray
 
 from ..core.cells import distinct_cells
 from ..core.normalization import Domain
+from ..core.stateful import Stateful
 from .hashing import SignFamily
 
 
@@ -54,7 +55,7 @@ def split_budget(budget: int, num_medians: int | None = None) -> tuple[int, int]
     return budget // num_medians, num_medians
 
 
-class AGMSSketch:
+class AGMSSketch(Stateful):
     """A grid of ``s1 x s2`` atomic sketches over one or more attributes.
 
     Parameters
@@ -168,21 +169,6 @@ class AGMSSketch:
                 signs = signs * self.families[j].signs_at(part[:, j])
             self.atoms += signs.astype(float) @ counts[start : start + chunk].astype(float)
         self._count += int(counts.sum())
-
-    def state_dict(self) -> dict[str, Any]:
-        """Mutable state only (atoms + count), for engine checkpoints."""
-        return {"atoms": self.atoms.copy(), "count": self._count}
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        """Restore state captured by :meth:`state_dict`, in place."""
-        atoms = np.asarray(state["atoms"], dtype=float)
-        if atoms.shape != self.atoms.shape:
-            raise ValueError(
-                f"checkpointed sketch has {atoms.shape[0]} atomic sketches, "
-                f"this sketch holds {self.atoms.shape[0]}"
-            )
-        self.atoms = atoms.copy()
-        self._count = int(state["count"])
 
     @classmethod
     def from_counts(

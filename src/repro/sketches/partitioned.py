@@ -25,6 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..core.cells import distinct_cells
+from ..core.stateful import Stateful, StateError
 from .basic import AGMSSketch, median_of_means, split_budget
 from .hashing import SignFamily
 
@@ -60,7 +61,7 @@ def equi_mass_partition(pilot_counts: NDArray[Any], num_partitions: int) -> NDAr
     return np.unique(boundaries).astype(np.int64)
 
 
-class PartitionedSketch:
+class PartitionedSketch(Stateful):
     """One AGMS sketch per contiguous sub-domain (Dobra et al. [9]).
 
     Parameters
@@ -74,8 +75,9 @@ class PartitionedSketch:
         Total atomic sketches across all partitions; split evenly.
     """
 
-    # Derived from ``boundaries`` in __init__; never part of checkpoints.
-    _checkpoint_exempt = ("num_partitions",)
+    # ``num_partitions`` follows from ``boundaries``; the sub-sketches are
+    # captured one nested state each by the override below.
+    _checkpoint_exempt = ("num_partitions", "sketches")
 
     def __init__(
         self,
@@ -146,7 +148,7 @@ class PartitionedSketch:
                 sketch.update_cells((cells[mask] - self.boundaries[p])[:, None], counts[mask])
 
     def state_dict(self) -> dict[str, Any]:
-        """Full mutable state, including the partition structure.
+        """The derived state, with one nested state per partition sketch.
 
         Boundaries are part of the state (not just the per-partition
         atoms) because they are derived from a pilot distribution at
@@ -155,13 +157,9 @@ class PartitionedSketch:
         :meth:`load_state` must be able to rebuild the exact partition
         geometry the checkpointed sketch was using.
         """
-        return {
-            "boundaries": self.boundaries.copy(),
-            "seed": self.seed,
-            "s1": self._s1,
-            "s2": self._s2,
-            "sketches": [sk.state_dict() for sk in self.sketches],
-        }
+        state = super().state_dict()
+        state["sketches"] = [sk.state_dict() for sk in self.sketches]
+        return state
 
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore state captured by :meth:`state_dict`, in place.
@@ -172,21 +170,29 @@ class PartitionedSketch:
         was checkpointed while keeping its identity for any estimate
         closures holding a reference to it.
         """
-        boundaries = np.asarray(state["boundaries"], dtype=np.int64)
-        if boundaries.ndim != 1 or boundaries.shape[0] < 2:
-            raise ValueError("checkpointed boundaries are not a valid partition")
-        if boundaries[0] != 0 or np.any(np.diff(boundaries) <= 0):
-            raise ValueError("checkpointed boundaries must start at 0 and increase")
-        s1, s2 = int(state["s1"]), int(state["s2"])
+        expected = self._state_keys() | {"sketches"}
+        if not isinstance(state, dict) or state.keys() != expected:
+            raise StateError(f"PartitionedSketch state must have keys {sorted(expected)}")
+        boundaries = state["boundaries"]
+        if (
+            not isinstance(boundaries, np.ndarray)
+            or boundaries.dtype != np.int64
+            or boundaries.ndim != 1
+            or boundaries.shape[0] < 2
+            or boundaries[0] != 0
+            or np.any(np.diff(boundaries) <= 0)
+        ):
+            raise StateError("checkpointed boundaries are not a valid partition")
+        s1, s2 = int(state["_s1"]), int(state["_s2"])
         if s1 < 1 or s2 < 1:
-            raise ValueError("checkpointed sketch geometry must be positive")
+            raise StateError("checkpointed sketch geometry must be positive")
         num_partitions = boundaries.shape[0] - 1
         if len(state["sketches"]) != num_partitions:
-            raise ValueError(
+            raise StateError(
                 f"checkpoint holds {len(state['sketches'])} partition sketches "
                 f"for {num_partitions} partitions"
             )
-        self.boundaries = boundaries
+        self.boundaries = boundaries.copy()
         self.num_partitions = num_partitions
         self.seed = int(state["seed"])
         self._s1, self._s2 = s1, s2

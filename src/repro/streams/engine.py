@@ -36,9 +36,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..core.join import estimate_multijoin_size as cosine_multijoin
+from ..obs import catalog
 from ..obs.accuracy import AccuracyTracker
 from ..obs.telemetry import Telemetry
 from ..core.normalization import Domain, embed_counts
+from ..core.stateful import StateError
 from ..resilience.checkpoint import (
     domain_from_spec,
     domain_to_spec,
@@ -265,11 +267,7 @@ class ContinuousQueryEngine:
         if self.dead_letters is not None:
             rows, rejects = validate_rows(relation, rows)
             if rejects:
-                counter = self.telemetry.registry.counter(
-                    "repro_ingest_dead_letters_total",
-                    "Rows rejected into the dead-letter buffer.",
-                    labelnames=("relation", "reason"),
-                )
+                counter = self.telemetry.registry.register(catalog.INGEST_DEAD_LETTERS)
                 op_kind = kind.name.lower()
                 for row, reason in rejects:
                     self.dead_letters.add(
@@ -707,19 +705,9 @@ class ContinuousQueryEngine:
     ) -> None:
         registry = self.telemetry.registry
         if fired:
-            registry.counter(
-                "repro_bound_clamps_total",
-                "Answers clamped because the point estimate exceeded the "
-                "guaranteed upper bound, per query.",
-                labelnames=("query",),
-            ).labels(name).inc()
+            registry.register(catalog.BOUND_CLAMPS).labels(name).inc()
         tightness = 1.0 if bound <= 0 else min(1.0, max(clamped, 0.0) / bound)
-        registry.gauge(
-            "repro_bound_tightness_ratio",
-            "Clamped estimate as a fraction of its guaranteed upper bound, "
-            "per query (1.0 = estimate at or above the bound).",
-            labelnames=("query",),
-        ).labels(name).set(tightness)
+        registry.register(catalog.BOUND_TIGHTNESS).labels(name).set(tightness)
 
     # ------------------------------------------------------------------ #
     # fault tolerance
@@ -775,15 +763,8 @@ class ContinuousQueryEngine:
                     state.degraded = reason
                 break
         registry = self.telemetry.registry
-        registry.counter(
-            "repro_observer_faults_total",
-            "Observer exceptions absorbed by fault isolation, per method.",
-            labelnames=("method",),
-        ).labels(method).inc()
-        registry.gauge(
-            "repro_queries_degraded",
-            "Registered queries currently degraded by a quarantined observer.",
-        ).set(len(self.degraded_queries()))
+        registry.register(catalog.OBSERVER_FAULTS).labels(method).inc()
+        registry.register(catalog.QUERIES_DEGRADED).set(len(self.degraded_queries()))
         return True
 
     def enable_dead_lettering(self, capacity: int = 1024) -> DeadLetterBuffer:
@@ -899,6 +880,8 @@ class ContinuousQueryEngine:
             raise CheckpointError(
                 f"checkpoint {path} is missing field {exc.args[0]!r}"
             ) from exc
+        except StateError as exc:
+            raise CheckpointError(f"checkpoint {path} has bad observer state: {exc}") from exc
         return engine
 
     def _register_from_spec(self, name: str, spec: dict[str, Any]) -> None:
@@ -1212,12 +1195,6 @@ class _CosineMarginalObserver(StreamObserver):
         self.synopsis = synopsis
         self.axis = axis
 
-    def state_dict(self) -> dict[str, Any]:
-        return self.synopsis.state_dict()
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        self.synopsis.load_state(state)
-
     def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
         value = (op.values[self.axis],)
         if op.kind is OpKind.INSERT:
@@ -1238,12 +1215,6 @@ class _CosineObserver(StreamObserver):
 
     def __init__(self, synopsis: CosineSynopsis) -> None:
         self.synopsis = synopsis
-
-    def state_dict(self) -> dict[str, Any]:
-        return self.synopsis.state_dict()
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        self.synopsis.load_state(state)
 
     def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
         if op.kind is OpKind.INSERT:
@@ -1270,12 +1241,6 @@ class _SketchObserver(StreamObserver):
         self.sketch = sketch
         self.domains = list(domains)
         self.axes = list(axes)
-
-    def state_dict(self) -> dict[str, Any]:
-        return self.sketch.state_dict()
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        self.sketch.load_state(state)
 
     def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
         # Per-op slow path; the allocation-free route is the batched on_ops.
@@ -1314,23 +1279,6 @@ class _SampleObserver(StreamObserver):
         self.counts = np.zeros([d.size for d in self.domains], dtype=np.int64)
         self.sampled_size = 0
         self.stream_size = 0
-
-    def state_dict(self) -> dict[str, Any]:
-        """Full mutable state; the generator's bit state keeps restored coins exact."""
-        return {
-            "probability": self.probability,
-            "rng_state": self._rng.bit_generator.state,
-            "counts": self.counts.copy(),
-            "sampled_size": self.sampled_size,
-            "stream_size": self.stream_size,
-        }
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        self.probability = float(state["probability"])
-        self._rng.bit_generator.state = state["rng_state"]
-        self.counts = np.array(state["counts"], dtype=np.int64)
-        self.sampled_size = int(state["sampled_size"])
-        self.stream_size = int(state["stream_size"])
 
     def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
         if op.kind is OpKind.DELETE:
@@ -1371,12 +1319,6 @@ class _PartitionedObserver(StreamObserver):
         self.domain = domain
         self.axis = axis
 
-    def state_dict(self) -> dict[str, Any]:
-        return self.sketch.state_dict()
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        self.sketch.load_state(state)
-
     def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
         index = self.domain.index_of(op.values[self.axis])
         self.sketch.update(index, weight=op.weight)
@@ -1397,12 +1339,6 @@ class _WaveletObserver(StreamObserver):
         self.synopsis = synopsis
         self.axis = axis
 
-    def state_dict(self) -> dict[str, Any]:
-        return self.synopsis.state_dict()
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        self.synopsis.load_state(state)
-
     def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
         self.synopsis.update(op.values[self.axis], weight=op.weight)
 
@@ -1421,12 +1357,6 @@ class _HistogramObserver(StreamObserver):
     def __init__(self, histogram: EquiWidthHistogram, axis: int) -> None:
         self.histogram = histogram
         self.axis = axis
-
-    def state_dict(self) -> dict[str, Any]:
-        return self.histogram.state_dict()
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        self.histogram.load_state(state)
 
     def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
         self.histogram.update(op.values[self.axis], weight=op.weight)

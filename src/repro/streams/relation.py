@@ -31,6 +31,7 @@ from numpy.typing import NDArray
 
 from ..core.cells import distinct_cells
 from ..core.normalization import Domain
+from ..core.stateful import Stateful
 from .tuples import OpKind, StreamOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -97,7 +98,7 @@ class CellDelta:
         return np.stack(columns, axis=1), counts
 
 
-class StreamObserver:
+class StreamObserver(Stateful):
     """Base class for synopses that watch a relation's operations live.
 
     Subclasses must implement :meth:`on_op`; batch-aware subclasses
@@ -105,7 +106,13 @@ class StreamObserver:
     batch tuple-by-tuple so per-op observers stay correct under batched
     ingestion.  Attachment is duck-typed — any object with an ``on_op``
     method works — but inheriting picks up the batch fallback for free.
+    Checkpoint state is derived (:class:`~repro.core.stateful.Stateful`):
+    every attribute except the declared structural ones.
     """
+
+    # Set by register_query for per-method time attribution; the restored
+    # engine sets it again when it re-registers the query.
+    _checkpoint_exempt = ("stats_key",)
 
     def on_op(self, relation: "StreamRelation", op: StreamOp) -> None:
         """Called once per stream operation, after exact state is updated."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..obs import catalog
 from ..obs.metrics import Counter, LatencyHistogram, MetricsRegistry
 from .tuples import OpKind
 
@@ -49,55 +50,19 @@ class EngineStats:
         #: folds the fleet's registries together.  The reading surface
         #: (``relation_ops`` etc.) keys on the first label either way.
         self.shard = shard
-        extra = ("shard",) if shard is not None else ()
+        sharded = shard is not None
         r = self.registry
-        self._ingested = r.counter(
-            "repro_ingest_ops_total",
-            "Total operations applied (insertions + deletions, any path).",
-        )
-        self._deleted = r.counter(
-            "repro_ingest_deletes_total", "Deletions among the ingested operations."
-        )
-        self._per_tuple = r.counter(
-            "repro_ingest_per_tuple_ops_total",
-            "Operations that went through the per-tuple process path.",
-        )
-        self._batches = r.counter(
-            "repro_ingest_batches_total",
-            "Vectorized batch applications (one per same-kind run).",
-        )
-        self._batched = r.counter(
-            "repro_ingest_batched_ops_total", "Operations that arrived inside batches."
-        )
-        self._relation_ops = r.counter(
-            "repro_relation_ops_total",
-            "Operations applied, per relation.",
-            labelnames=("relation", *extra),
-        )
-        self._obs_time = r.counter(
-            "repro_observer_seconds_total",
-            "Seconds spent inside observer updates, per stats key.",
-            labelnames=("method", *extra),
-        )
-        self._obs_ops = r.counter(
-            "repro_observer_ops_total",
-            "Operations seen by observers, per stats key.",
-            labelnames=("method", *extra),
-        )
-        self._estimate_hist = r.histogram(
-            "repro_estimate_latency_seconds",
-            "Latency of answer() / answers() estimate evaluations.",
-        )
-        self._query_estimates = r.counter(
-            "repro_query_estimates_total",
-            "Estimate evaluations served, per query.",
-            labelnames=("query", *extra),
-        )
-        self._query_seconds = r.counter(
-            "repro_query_estimate_seconds_total",
-            "Seconds spent evaluating estimates, per query.",
-            labelnames=("query", *extra),
-        )
+        self._ingested = r.register(catalog.INGEST_OPS)
+        self._deleted = r.register(catalog.INGEST_DELETES)
+        self._per_tuple = r.register(catalog.INGEST_PER_TUPLE_OPS)
+        self._batches = r.register(catalog.INGEST_BATCHES)
+        self._batched = r.register(catalog.INGEST_BATCHED_OPS)
+        self._relation_ops = r.register(catalog.RELATION_OPS, sharded=sharded)
+        self._obs_time = r.register(catalog.OBSERVER_SECONDS, sharded=sharded)
+        self._obs_ops = r.register(catalog.OBSERVER_OPS, sharded=sharded)
+        self._estimate_hist = r.register(catalog.ESTIMATE_LATENCY)
+        self._query_estimates = r.register(catalog.QUERY_ESTIMATES, sharded=sharded)
+        self._query_seconds = r.register(catalog.QUERY_ESTIMATE_SECONDS, sharded=sharded)
         # Label children resolved once per key, then hit as plain attributes.
         self._observer_cache: dict[str, tuple[Counter, Counter]] = {}
         self._relation_cache: dict[str, Counter] = {}

@@ -28,6 +28,7 @@ from numpy.typing import NDArray
 
 from ..core.cells import distinct_cells
 from ..core.normalization import Domain
+from ..core.stateful import Stateful
 
 
 def _padded_size(n: int) -> int:
@@ -82,7 +83,7 @@ def inverse_haar_transform(coefficients: NDArray[Any], n: int | None = None) -> 
     return data if n is None else data[:n]
 
 
-class HaarSynopsis:
+class HaarSynopsis(Stateful):
     """Top-``m`` Haar coefficient synopsis of a stream's frequency vector.
 
     Space accounting mirrors the other methods, with one honest difference
@@ -126,21 +127,6 @@ class HaarSynopsis:
         synopsis._coefficients = haar_transform(counts)
         synopsis._count = int(round(counts.sum()))
         return synopsis
-
-    def state_dict(self) -> dict[str, Any]:
-        """Mutable state only (full coefficient vector + count)."""
-        return {"coefficients": self._coefficients.copy(), "count": self._count}
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        """Restore state captured by :meth:`state_dict`, in place."""
-        coefficients = np.asarray(state["coefficients"], dtype=float)
-        if coefficients.shape != self._coefficients.shape:
-            raise ValueError(
-                f"checkpointed synopsis has {coefficients.shape[0]} coefficients, "
-                f"this synopsis stores {self._coefficients.shape[0]}"
-            )
-        self._coefficients = coefficients.copy()
-        self._count = int(state["count"])
 
     def update(self, value: Any, weight: int = 1) -> None:
         """Process one insertion/deletion.

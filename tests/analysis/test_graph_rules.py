@@ -1,4 +1,4 @@
-"""REP008–REP011: the whole-program rules against on-disk fixtures.
+"""REP008 and REP011: the whole-program rules against on-disk fixtures.
 
 Each fixture project under ``fixtures/`` seeds one true positive (the
 regression the rule exists to catch), one noqa'd case, and one clean
@@ -58,52 +58,6 @@ class TestConcurrencyDiscipline:
             **{"concurrency-discipline": {"lock-order-modules": ["src/pkg/elsewhere.py"]}},
         )
         assert not [f for f in report.findings if "inversion" in f.message]
-
-
-class TestMetricDrift:
-    def test_ghost_reference_noqa_and_clean(self):
-        report = report_for(
-            "rep009",
-            "REP009",
-            **{"metric-drift": {"catalog": "src/pkg/catalog.py"}},
-        )
-        assert len(report.findings) == 1
-        assert "repro_ghost_total" in report.findings[0].message
-        assert report.findings[0].path == "src/pkg/dashboard.py"
-        assert report.suppressed == 1  # the noqa'd unlisted name
-
-    def test_allow_list_clears_the_finding(self):
-        report = report_for(
-            "rep009",
-            "REP009",
-            **{
-                "metric-drift": {
-                    "catalog": "src/pkg/catalog.py",
-                    "allow": ["repro_ghost_total"],
-                }
-            },
-        )
-        assert report.findings == []
-
-
-class TestCheckpointCompleteness:
-    def test_drifted_subclass_is_caught_across_modules(self):
-        report = report_for("rep010", "REP010")
-        assert len(report.findings) == 1
-        finding = report.findings[0]
-        assert "Drifted.offset" in finding.message
-        assert finding.path == "src/pkg/child.py"
-        # Evidence: the inherited state_dict lives in the base module.
-        assert finding.related
-        assert finding.related[0].path == "src/pkg/base.py"
-
-    def test_exempt_override_and_noqa_are_clean(self):
-        report = report_for("rep010", "REP010")
-        messages = " ".join(f.message for f in report.findings)
-        assert "cache" not in messages  # _checkpoint_exempt honoured via MRO
-        assert "scale" not in messages  # overriding state_dict covers it
-        assert "scratch" not in messages  # suppressed inline
-        assert report.suppressed == 1
 
 
 class TestAsyncSafety:

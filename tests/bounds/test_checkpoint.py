@@ -35,7 +35,7 @@ def degree_states(engine):
     for name in sorted(engine._queries):
         for _, observer in engine._queries[name].attachments:
             if isinstance(observer, DegreeObserver):
-                states.append((name, observer.state_dict()))
+                states.append((name, observer.sketch.state_dict()))
     return states
 
 

@@ -124,10 +124,11 @@ class TestDegreeObserver:
         assert sketch.count == 0
 
     def test_structural_fields_are_checkpoint_exempt(self):
-        # state_dict carries only the frequency vector; axis and domain
-        # are rebuilt from the query spec at (re-)registration time.
+        # state_dict carries only the sketch's frequency vector; axis and
+        # domain are rebuilt from the query spec at (re-)registration time.
         relation = self._relation()
         observer = DegreeObserver(DegreeSketch(6), relation.domains[0], axis=0)
-        assert set(observer.state_dict()) == {"freq"}
+        assert set(observer.state_dict()) == {"sketch"}
+        assert set(observer.state_dict()["sketch"]) == {"freq"}
         assert "domain" in observer._checkpoint_exempt
         assert "axis" in observer._checkpoint_exempt

@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs import MetricsRegistry, MetricsServer, catalog_mismatches
+from repro.obs import MetricsRegistry, MetricsServer
 from repro.obs.server import CONTENT_TYPE
 
 
@@ -169,36 +169,3 @@ class TestLifecycle:
         assert "repro_ingest_ops_total 0" in first
         assert "repro_ingest_ops_total 1" in second
         assert len(registries) == 2
-
-
-class TestCatalogMismatches:
-    def test_conformant_registry_is_clean(self, registry):
-        registry.counter(
-            "repro_relation_ops_total", "Operations.", ("relation", "shard")
-        )
-        assert catalog_mismatches(registry) == []
-
-    def test_non_repro_metrics_are_ignored(self):
-        reg = MetricsRegistry()
-        reg.counter("other_ops_total", "Not ours.")
-        assert catalog_mismatches(reg) == []
-
-    def test_uncatalogued_metric_is_reported(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_surprise_total", "New.")
-        problems = catalog_mismatches(reg)
-        assert problems == ["repro_surprise_total: not in the generated metric catalog"]
-
-    def test_kind_mismatch_is_reported(self):
-        reg = MetricsRegistry()
-        reg.gauge("repro_ingest_ops_total", "Wrong kind.")
-        problems = catalog_mismatches(reg)
-        assert len(problems) == 1
-        assert "registered as gauge, catalogued as counter" in problems[0]
-
-    def test_label_mismatch_is_reported(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_relation_ops_total", "Operations.", ("query",))
-        problems = catalog_mismatches(reg)
-        assert len(problems) == 1
-        assert "labels" in problems[0] and "(+ optional shard)" in problems[0]

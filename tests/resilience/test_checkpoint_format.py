@@ -20,6 +20,9 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.errors import CheckpointError, CheckpointIntegrityError
 from repro.resilience.retry import RetryPolicy
+from repro.streams import StreamEngine
+
+from .test_recovery import ALL_METHODS, build_engine, make_batches
 
 
 def sample_payload() -> dict:
@@ -88,7 +91,7 @@ class TestWriteRead:
     def test_version_1_sample_state_rejected(self, tmp_path):
         # Version 1 kept the sample as a value counter; version 2 reads a
         # count tensor, so an old checkpoint is refused, not misread.
-        assert FORMAT_VERSION == 2
+        assert FORMAT_VERSION == 3
         path = tmp_path / "x.ckpt"
         write_checkpoint(path, sample_payload())
         header_line, blob = path.read_bytes().split(b"\n", 1)
@@ -96,6 +99,19 @@ class TestWriteRead:
         header["version"] = 1
         path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
         with pytest.raises(CheckpointIntegrityError, match="version 1 "):
+            read_checkpoint(path)
+
+    def test_version_2_flat_observer_state_rejected(self, tmp_path):
+        # Version 2 held hand-listed flat observer states; version 3
+        # derives them from attributes and nests each synopsis's state,
+        # so a version 2 file is refused by the header check.
+        path = tmp_path / "x.ckpt"
+        write_checkpoint(path, sample_payload())
+        header_line, blob = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["version"] = 2
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        with pytest.raises(CheckpointIntegrityError, match="version 2 "):
             read_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
@@ -207,3 +223,49 @@ class TestPayloadDiagnostics:
     def test_iter_payload_arrays_finds_nested_arrays(self):
         found = list(iter_payload_arrays(sample_payload()))
         assert len(found) == 2
+
+
+def _first_array_path(state, path=()):
+    """Key path of the first array in a (nested) observer state."""
+    for key, value in state.items():
+        if isinstance(value, np.ndarray):
+            return path + (key,)
+        if isinstance(value, dict):
+            found = _first_array_path(value, path + (key,))
+            if found:
+                return found
+    return None
+
+
+def _replace_first_array(state, change):
+    *parents, leaf = _first_array_path(state)
+    for key in parents:
+        state = state[key]
+    state[leaf] = change(state[leaf])
+
+
+OBSERVER_STATE_DAMAGE = {
+    "unknown_key": lambda state: state.__setitem__("bogus", 1),
+    "missing_key": lambda state: state.pop(next(iter(state))),
+    "wrong_shape": lambda state: _replace_first_array(state, lambda a: np.append(a, a[:1])),
+    "wrong_dtype": lambda state: _replace_first_array(state, lambda a: a.astype(np.float32)),
+}
+
+
+class TestObserverStateRestoreErrors:
+    """A damaged observer state is refused with a typed error, never misread."""
+
+    @pytest.mark.parametrize("damage", sorted(OBSERVER_STATE_DAMAGE))
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_damaged_observer_state_raises_checkpoint_error(self, tmp_path, method, damage):
+        engine = build_engine(methods=[method])
+        for relation, rows in make_batches(n_batches=4):
+            engine.ingest_batch(relation, rows)
+        path = tmp_path / "x.ckpt"
+        engine.save_checkpoint(path)
+        payload = read_checkpoint(path)
+        (entry,) = [q for q in payload["queries"] if q["name"] == f"q_{method}"]
+        OBSERVER_STATE_DAMAGE[damage](entry["observers"][0])
+        write_checkpoint(path, payload)
+        with pytest.raises(CheckpointError):
+            StreamEngine.load_checkpoint(path)
